@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy import special as _special
 
 from repro.acquisition.dataset import PowerDataset
 from repro.core.features import design_matrix, feature_names
@@ -97,8 +98,6 @@ class FittedPowerModel:
         """
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        from scipy import stats as _scipy_stats
-
         x = design_matrix(dataset, self.counters)
         mean = x @ self.ols.params
         # Row-wise quadratic form without materializing the hat matrix.
@@ -107,7 +106,7 @@ class FittedPowerModel:
                 np.einsum("ij,jk,ik->i", x, self.ols.cov_params, x), 0.0
             )
         )
-        q = _scipy_stats.t.ppf(1.0 - alpha / 2.0, max(self.ols.df_resid, 1))
+        q = _special.stdtrit(max(self.ols.df_resid, 1), 1.0 - alpha / 2.0)
         return np.column_stack([mean - q * se, mean + q * se])
 
     def evaluate(self, dataset: PowerDataset) -> Dict[str, float]:

@@ -26,7 +26,8 @@ Lifecycle contract (leak-proof by construction, DESIGN.md §16):
   (the fan-out raises, the ``finally``/context-manager closes) and
   injected faults alike.
 * The ``resource_tracker`` backstop: pool workers share the parent's
-  tracker process (both fork and spawn hand the tracker fd down), so a
+  tracker process (the pool starts it before forking, and both fork
+  and spawn hand the tracker fd down), so a
   worker's attach-time registration dedupes against the parent's
   create-time one and the parent's unlink retires the name exactly
   once.  If the parent dies without unlinking, the tracker itself

@@ -26,6 +26,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+from multiprocessing import resource_tracker
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -159,6 +160,10 @@ def _pool(kind: str, max_workers: int) -> _FuturesExecutor:
                 max_workers=max_workers, thread_name_prefix="repro-parallel"
             )
         else:
+            # Start the tracker before forking: a worker that finds none
+            # running starts its own, which then reports every arena
+            # segment it attached as leaked and fails to unlink it.
+            resource_tracker.ensure_running()
             pool = ProcessPoolExecutor(max_workers=max_workers)
         _POOL_CACHE[key] = pool
     return pool

@@ -2,8 +2,9 @@
 
 This subpackage replaces the external dependencies the paper relied on
 (``statsmodels`` for OLS with heteroscedasticity-consistent standard
-errors, ``scipy.stats.pearsonr`` usage patterns, and scikit-learn style
-cross validation) with self-contained, numpy-based implementations.
+errors, and scikit-learn style cross validation) with self-contained,
+numpy-based implementations.  Student-t and χ² tails come from
+``scipy.special``; ``scipy.stats`` is never imported at module load.
 
 The public surface is intentionally small and mirrors the statistical
 vocabulary of the paper:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy import special as _special
 
 from repro.stats.errors import (
     DegenerateResidualsError,
@@ -127,7 +127,7 @@ def _lm_test(resid: np.ndarray, aux_exog: np.ndarray, name: str) -> Heteroscedas
     res = fit_ols(u2, aux, cov_type="nonrobust")
     n = u2.shape[0]
     lm = n * max(res.rsquared, 0.0)
-    pvalue = float(_scipy_stats.chi2.sf(lm, df))
+    pvalue = float(_special.chdtrc(df, lm))
     return HeteroscedasticityTest(statistic=float(lm), pvalue=pvalue, df=df, name=name)
 
 
@@ -208,7 +208,7 @@ def jarque_bera(resid: np.ndarray) -> NormalityTest:
     n = r.shape[0]
     skew, kurt = _moments(r)
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
-    pvalue = float(_scipy_stats.chi2.sf(jb, 2))
+    pvalue = float(_special.chdtrc(2, jb))
     return NormalityTest(
         statistic=float(jb),
         pvalue=pvalue,
@@ -226,6 +226,9 @@ def dagostino_k2(resid: np.ndarray) -> NormalityTest:
     than Jarque–Bera at moderate n, defined only for
     ``n >= DAGOSTINO_MIN_N`` (8).
     """
+    # scipy.stats costs ~0.3 s to import; no pipeline stage runs this test.
+    from scipy import stats as _scipy_stats
+
     r = _validated_residuals(resid, name="dagostino-k2", min_n=DAGOSTINO_MIN_N)
     stat, pvalue = _scipy_stats.normaltest(r)
     skew, kurt = _moments(r)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy import special as _special
 
 from repro.stats.errors import (
     NonFiniteInputError,
@@ -82,14 +82,14 @@ class OLSResult:
     def pvalues(self) -> np.ndarray:
         """Two-sided p values from a Student-t with ``df_resid`` dof."""
         dof = max(self.df_resid, 1)
-        return 2.0 * _scipy_stats.t.sf(np.abs(self.tvalues), dof)
+        return 2.0 * _special.stdtr(dof, -np.abs(self.tvalues))
 
     def conf_int(self, alpha: float = 0.05) -> np.ndarray:
         """Confidence intervals ``(k, 2)`` at level ``1 - alpha``."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         dof = max(self.df_resid, 1)
-        q = _scipy_stats.t.ppf(1.0 - alpha / 2.0, dof)
+        q = _special.stdtrit(dof, 1.0 - alpha / 2.0)
         half = q * self.bse
         return np.column_stack([self.params - half, self.params + half])
 

@@ -329,3 +329,35 @@ class TestLeakHygiene:
         assert proc.returncode == 0, proc.stderr
         assert "leaked" not in proc.stderr, proc.stderr
         assert shm_segments() == []
+
+    def test_prewarmed_pool_shares_parent_tracker(self):
+        # A pool forked by a plain map, before any arena exists, must
+        # still hand its workers the parent's resource_tracker: a
+        # worker-local tracker reports every attached segment as leaked
+        # and fails to unlink it once the parent already has.
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.parallel import ProcessExecutor, SharedArena, resolve_executor
+            from tests.parallel.test_arena import echo_handle
+
+            assert resolve_executor("process", 2).map(abs, [-1, -2, -3]) == [1, 2, 3]
+            with SharedArena() as arena:
+                handles = [arena.publish(np.arange(64.0) + i) for i in range(4)]
+                got = ProcessExecutor(2).map(
+                    echo_handle, [(h, 1.0) for h in handles]
+                )
+            assert got == [float((np.arange(64.0) + i).sum()) for i in range(4)]
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=os.getcwd(),
+            env={**os.environ, "PYTHONPATH": f"src:{os.getcwd()}"},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert shm_segments() == []
