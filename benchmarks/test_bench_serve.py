@@ -1,6 +1,6 @@
 """Fleet serving benchmark → ``BENCH_serve.json``.
 
-Three measurements:
+Four measurements, recorded with the environment they ran in:
 
 * **batched vs single-stream throughput** — node-steps/sec of one
   vectorized ``FleetEstimator.step_batch`` over a 10k-node fleet
@@ -11,7 +11,10 @@ Three measurements:
   step over repeated ticks;
 * **overload shedding** — a 2x burst against a fleet-sized bounded
   queue under ``shed-oldest``: depth must never exceed the cap and
-  every shed sample must be counted.
+  every shed sample must be counted;
+* **service tick latency** — p50/p99 wall latency of one
+  ``FleetService.process`` tick over the whole fleet in 8 shards:
+  per-shard packing plus the single merged step.
 
 Plain pytest (no pytest-benchmark fixture): CI runs this file directly
 and uploads the JSON artifact.
@@ -30,12 +33,13 @@ from repro.parallel import MONOTONIC_CLOCK
 from repro.serve import FleetEstimator, FleetService, NodeSample, make_batch
 from repro.stats.ols import OLSResult
 
-from .conftest import report
+from .conftest import bench_environment, report
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 COUNTERS = ("instructions", "cache-misses", "branches")
 N_NODES = 10_000
+SERVICE_TICKS = 16
 ESTIMATOR_KW = dict(
     smoothing=0.5,
     envelope=PowerEnvelope(5.0, 150.0),
@@ -80,7 +84,11 @@ def tick_samples(node_ids, tick, rng):
 def test_bench_serve():
     model = synthetic_model()
     node_ids = [f"node-{i:05d}" for i in range(N_NODES)]
-    results = {"clock": "perf_counter", "n_nodes": N_NODES}
+    results = {
+        "clock": "perf_counter",
+        "n_nodes": N_NODES,
+        "environment": bench_environment(),
+    }
 
     # Pre-generate identical streams so timing measures stepping only.
     # Tick 0 registers all 10k nodes (a one-time allocation on both
@@ -182,6 +190,31 @@ def test_bench_serve():
         "burst_wall_s": round(burst_s, 4),
     }
 
+    # -- service tick: packing + merged step over 8 shards ---------------
+    service = FleetService(
+        model,
+        envelope=ESTIMATOR_KW["envelope"],
+        n_shards=8,
+        queue_capacity=N_NODES,
+        seed=7,
+    )
+    service.submit(ticks[0])
+    service.process()  # registers the fleet; not timed
+    rng = np.random.default_rng(7)
+    process_s = []
+    for tick in range(1, 1 + SERVICE_TICKS):
+        service.submit(tick_samples(node_ids, tick, rng))
+        t0 = MONOTONIC_CLOCK()
+        outcome = service.process()
+        process_s.append(MONOTONIC_CLOCK() - t0)
+        assert outcome.processed_rows == N_NODES
+    results["service_tick"] = {
+        "n_shards": service.n_shards,
+        "ticks": SERVICE_TICKS,
+        "p50_ms": round(float(np.percentile(process_s, 50)) * 1e3, 3),
+        "p99_ms": round(float(np.percentile(process_s, 99)) * 1e3, 3),
+    }
+
     atomic_write_json(OUT_PATH, results)
     report(
         "serve: fleet estimation benchmark",
@@ -194,6 +227,10 @@ def test_bench_serve():
                 f"over {N_NODES:,} nodes",
                 f"2x burst: shed {stats.shed} of {len(burst)} "
                 f"(depth cap {stats.capacity} never exceeded)",
+                f"service tick p50/p99: "
+                f"{results['service_tick']['p50_ms']}/"
+                f"{results['service_tick']['p99_ms']} ms over "
+                f"{service.n_shards} shards",
             ]
         ),
     )

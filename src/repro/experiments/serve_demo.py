@@ -100,18 +100,26 @@ class ServeDemoResult:
 
 
 def _node_stream(node_ids, tick, rng, counters):
+    """One tick of clean telemetry from a single draw.
+
+    Row i holds node i's counter deltas, then voltage, then frequency:
+    the row-major draw order equals a per-value ``rng.uniform`` loop
+    over nodes, so samples and generator state match it bit for bit.
+    """
+    k = len(counters)
+    lo = np.array([0.0] * k + [0.9, 1200.0])
+    hi = np.array([2e7] * k + [1.2, 2600.0])
+    draws = rng.uniform(lo, hi, size=(len(node_ids), k + 2)).tolist()
     return [
         NodeSample(
             node_id=nid,
-            counter_deltas={
-                c: float(rng.uniform(0.0, 2e7)) for c in counters
-            },
+            counter_deltas=dict(zip(counters, row[:k])),
             interval_s=0.5,
-            voltage_v=float(rng.uniform(0.9, 1.2)),
-            frequency_mhz=float(rng.uniform(1200.0, 2600.0)),
+            voltage_v=row[k],
+            frequency_mhz=row[k + 1],
             time_s=0.5 * (tick + 1),
         )
-        for nid in node_ids
+        for nid, row in zip(node_ids, draws)
     ]
 
 

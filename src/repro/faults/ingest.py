@@ -19,9 +19,9 @@ needs healthy nodes whose estimates must come through untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.seeding import derive_rng
+from repro.seeding import SeedHasher, rng_from_state_words, seedseq_state_words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.serve.api import NodeSample
@@ -37,6 +37,11 @@ _RATE_FIELDS: Tuple[str, ...] = (
     "backwards_time_rate",
     "duplicate_rate",
     "burst_rate",
+)
+
+#: Per-sample fault kinds: every rate but the per-tick burst.
+_SAMPLE_KINDS: Tuple[str, ...] = tuple(
+    name for name in _RATE_FIELDS if name != "burst_rate"
 )
 
 
@@ -137,33 +142,74 @@ class IngestFaultInjector:
 
     Every decision draws from its own derived stream keyed by fault
     kind, tick and node id, so changing one rate never shifts another
-    fault class's decisions.
+    fault class's decisions.  ``corrupt`` derives all of a tick's
+    decision streams in one batched pass (one BLAKE2b prefix, one
+    vectorized ``SeedSequence`` expansion); each decision is still the
+    first ``random()`` draw of the ``default_rng`` stream its key names.
     """
 
     def __init__(self, plan: IngestFaultPlan, root_seed: int) -> None:
         self.plan = plan
         self.root_seed = int(root_seed)
-
-    def _rng(self, kind: str, *key):
-        return derive_rng(
-            self.root_seed, "ingest-fault", self.plan.fault_seed, kind, *key
+        self._hasher = SeedHasher(
+            self.root_seed, "ingest-fault", plan.fault_seed
         )
-
-    def _decide(self, kind: str, *key) -> bool:
-        rate = getattr(self.plan, kind)
-        if rate <= 0.0:
-            return False
-        return bool(self._rng(kind, *key).random() < rate)
+        self._kinds = tuple(
+            kind for kind in _SAMPLE_KINDS if getattr(plan, kind) > 0.0
+        )
+        self._faulty: Dict[str, bool] = {}
 
     def node_faulty(self, node_id: str) -> bool:
         """Is this node eligible for per-sample faults?  Seeded and
-        stable across the whole session."""
-        if self.plan.faulty_node_fraction >= 1.0:
-            return True
-        if self.plan.faulty_node_fraction <= 0.0:
-            return False
-        rng = self._rng("faulty-node", node_id)
-        return bool(rng.random() < self.plan.faulty_node_fraction)
+        stable across the whole session (so memoized per node)."""
+        hit = self._faulty.get(node_id)
+        if hit is None:
+            fraction = self.plan.faulty_node_fraction
+            if fraction >= 1.0:
+                hit = True
+            elif fraction <= 0.0:
+                hit = False
+            else:
+                rng = self._hasher.rng("faulty-node", node_id)
+                hit = bool(rng.random() < fraction)
+            self._faulty[node_id] = hit
+        return hit
+
+    def _tick_decisions(
+        self, node_ids: Sequence[str], tick: int
+    ) -> Tuple[Dict[str, FrozenSet[str]], bool]:
+        """Every rate decision of one tick: the fault kinds that fire
+        per eligible node, and whether the tick bursts."""
+        seeds = []
+        rates = []
+        for kind in self._kinds:
+            tick_hasher = self._hasher.child(kind, tick)
+            seeds.extend(tick_hasher.seed(node_id) for node_id in node_ids)
+            rates.extend([getattr(self.plan, kind)] * len(node_ids))
+        if self.plan.burst_rate > 0.0:
+            seeds.append(self._hasher.seed("burst_rate", tick))
+            rates.append(self.plan.burst_rate)
+        if not seeds:
+            return {}, False
+        fires = [
+            rng_from_state_words(words).random() < rate
+            for words, rate in zip(seedseq_state_words(seeds), rates)
+        ]
+        n = len(node_ids)
+        fired = {
+            node_id: frozenset(
+                kind
+                for k, kind in enumerate(self._kinds)
+                if fires[k * n + i]
+            )
+            for i, node_id in enumerate(node_ids)
+        }
+        burst = self.plan.burst_rate > 0.0 and bool(fires[-1])
+        return fired, burst
+
+    def _victim(self, kind: str, tick: int, node_id: str, names) -> str:
+        rng = self._hasher.rng(kind, tick, node_id)
+        return names[int(rng.integers(0, len(names)))]
 
     def corrupt(
         self, samples: Sequence[NodeSample], tick: int
@@ -176,50 +222,48 @@ class IngestFaultInjector:
         """
         if not self.plan.any_active:
             return list(samples)
+        eligible = list(
+            dict.fromkeys(
+                s.node_id for s in samples if self.node_faulty(s.node_id)
+            )
+        )
+        fired_by_node, burst = self._tick_decisions(eligible, tick)
         out: List[object] = []
         for sample in samples:
             node_id = sample.node_id
-            if not self.node_faulty(node_id):
+            fired = fired_by_node.get(node_id)
+            if fired is None:
                 out.append(sample)
                 continue
-            if self._decide("drop_rate", tick, node_id):
+            if "drop_rate" in fired:
                 continue
-            if self._decide("malformed_rate", tick, node_id):
+            if "malformed_rate" in fired:
                 out.append(_Garbage())
                 continue
             corrupted = sample
-            if self._decide("nan_rate", tick, node_id) and corrupted.counter_deltas:
+            if "nan_rate" in fired and corrupted.counter_deltas:
                 deltas = dict(corrupted.counter_deltas)
-                names = sorted(deltas)
-                victim = names[
-                    int(self._rng("nan-victim", tick, node_id).integers(
-                        0, len(names)
-                    ))
-                ]
+                victim = self._victim(
+                    "nan-victim", tick, node_id, sorted(deltas)
+                )
                 deltas[victim] = float("nan")
                 corrupted = replace(corrupted, counter_deltas=deltas)
-            elif self._decide("negative_rate", tick, node_id) and corrupted.counter_deltas:
+            elif "negative_rate" in fired and corrupted.counter_deltas:
                 deltas = dict(corrupted.counter_deltas)
-                names = sorted(deltas)
-                victim = names[
-                    int(self._rng("neg-victim", tick, node_id).integers(
-                        0, len(names)
-                    ))
-                ]
+                victim = self._victim(
+                    "neg-victim", tick, node_id, sorted(deltas)
+                )
                 deltas[victim] = -abs(deltas[victim]) - 1.0
                 corrupted = replace(corrupted, counter_deltas=deltas)
-            if self._decide("context_rate", tick, node_id):
+            if "context_rate" in fired:
                 corrupted = replace(corrupted, voltage_v=0.0)
-            if (
-                corrupted.time_s is not None
-                and self._decide("backwards_time_rate", tick, node_id)
-            ):
+            if corrupted.time_s is not None and "backwards_time_rate" in fired:
                 corrupted = replace(
                     corrupted, time_s=corrupted.time_s - 1000.0
                 )
             out.append(corrupted)
-            if self._decide("duplicate_rate", tick, node_id):
+            if "duplicate_rate" in fired:
                 out.append(corrupted)
-        if self._decide("burst_rate", tick):
+        if burst:
             out = out * self.plan.burst_factor
         return out

@@ -62,6 +62,24 @@ class Batch:
     def n_rows(self) -> int:
         return len(self.node_ids)
 
+    @classmethod
+    def concat(cls, batches: Sequence["Batch"]) -> "Batch":
+        """The batches' rows stacked in order (counters must agree)."""
+        counters = batches[0].counters
+        if any(b.counters != counters for b in batches):
+            raise ValueError("cannot concatenate batches over different counters")
+        return cls(
+            counters=counters,
+            node_ids=tuple(n for b in batches for n in b.node_ids),
+            deltas=np.concatenate([b.deltas for b in batches]),
+            present=np.concatenate([b.present for b in batches]),
+            interval_s=np.concatenate([b.interval_s for b in batches]),
+            voltage_v=np.concatenate([b.voltage_v for b in batches]),
+            frequency_mhz=np.concatenate([b.frequency_mhz for b in batches]),
+            time_s=np.concatenate([b.time_s for b in batches]),
+            time_valid=np.concatenate([b.time_valid for b in batches]),
+        )
+
     def row_sample(self, i: int) -> NodeSample:
         """Row *i* back as the :class:`NodeSample` the serial estimator
         would have been fed — the identity tests step both paths from

@@ -8,9 +8,10 @@ composes middleware, API handlers, state stores and background tasks:
 * the **bounded queue** (:mod:`repro.serve.queue`) makes overload a
   graded policy decision instead of memory growth;
 * ``process()`` drains the queue once per service **tick**, groups rows
-  by state shard, and steps each shard's sub-batch through the
-  vectorized :class:`~repro.serve.fleet.FleetEstimator` under that
-  shard's :class:`~repro.serve.breaker.ShardBreaker` — a shard whose
+  by state shard, packs each shard's sub-batch under that shard's
+  :class:`~repro.serve.breaker.ShardBreaker`, and steps all admitted
+  sub-batches as one merged batch through the vectorized
+  :class:`~repro.serve.fleet.FleetEstimator` — a shard whose
   operations keep failing is answered from the stateless baseline
   while the rest of the fleet runs normally;
 * a cadence-driven :class:`SnapshotWorker` persists dirty nodes into
@@ -187,8 +188,9 @@ class FleetService:
         )
         self._step_hook = step_hook
         """Test/chaos hook called as ``hook(shard, rows)`` before each
-        shard sub-batch steps; an exception it raises is handled like
-        any shard-operation failure (breaker + stateless fallback)."""
+        shard sub-batch is packed; an exception it raises is handled
+        like any shard-operation failure (breaker + stateless
+        fallback) for that shard alone."""
         self._node_shard: Dict[str, int] = {}
         self._restore_attempted: Set[str] = set()
         self._ticks = 0
@@ -288,7 +290,14 @@ class FleetService:
                 self._discarded_states += 1
 
     def process(self, max_rows: int = 0) -> ProcessOutcome:
-        """One service tick: drain, shard, step, snapshot."""
+        """One service tick: drain, shard, pack, step once, snapshot.
+
+        Each shard passes its breaker gate, step hook, lazy restore and
+        packing on its own, so a failure there stays in that shard.
+        The admitted shards' batches then step as one merged batch in
+        shard order; nodes never span shards, so every node sees the
+        same sample order as a per-shard step.
+        """
         self._ticks += 1
         for breaker in self.breakers:
             breaker.tick()
@@ -298,14 +307,14 @@ class FleetService:
             by_shard.setdefault(self.shard_of(sample.node_id), []).append(
                 sample
             )
-        results: List[BatchResult] = []
-        stateless: List[Tuple[str, float]] = []
+        stateless: Dict[int, Tuple[Tuple[str, float], ...]] = {}
+        admitted: List[Tuple[int, Batch]] = []
         refused = 0
         for shard in sorted(by_shard):
             shard_rows = by_shard[shard]
             breaker = self.breakers[shard]
             if not breaker.allow():
-                stateless.extend(self._stateless_answers(shard_rows))
+                stateless[shard] = self._stateless_answers(shard_rows)
                 refused += 1
                 continue
             try:
@@ -313,17 +322,42 @@ class FleetService:
                     self._step_hook(shard, shard_rows)
                 self._restore_missing(shard_rows)
                 batch = make_batch(shard_rows, self.fleet.counters)
-                results.append(self.fleet.step_batch(batch))
             except Exception:  # replint: ignore[RL007] -- breaker trip is the handling; nodes get a counted stateless answer
                 breaker.record_failure()
-                stateless.extend(self._stateless_answers(shard_rows))
+                stateless[shard] = self._stateless_answers(shard_rows)
                 continue
-            breaker.record_success()
+            if self.store is not None:
+                # Register in shard order, as a per-shard step would,
+                # so a later shard's restore never takes an earlier
+                # fleet index.
+                for node_id in batch.node_ids:
+                    self.fleet.ensure_node(node_id)
+            admitted.append((shard, batch))
+        results: List[BatchResult] = []
+        if admitted:
+            try:
+                merged = self.fleet.step_batch(
+                    Batch.concat([batch for _, batch in admitted])
+                )
+            except Exception:  # replint: ignore[RL007] -- every admitted breaker records the failure; nodes get a counted stateless answer
+                for shard, _ in admitted:
+                    self.breakers[shard].record_failure()
+                    stateless[shard] = self._stateless_answers(
+                        by_shard[shard]
+                    )
+            else:
+                for shard, _ in admitted:
+                    self.breakers[shard].record_success()
+                results = merged.split([b.n_rows for _, b in admitted])
         if self.store is not None and self.snapshot_worker.due(self._ticks):
             self.snapshot_worker.run(self.fleet, self.store, self.breakers)
         return ProcessOutcome(
             results=tuple(results),
-            stateless=tuple(stateless),
+            stateless=tuple(
+                answer
+                for shard in sorted(stateless)
+                for answer in stateless[shard]
+            ),
             processed_rows=sum(r.n_rows for r in results),
             refused_shards=refused,
         )

@@ -35,7 +35,7 @@ it; its estimates are still produced bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,33 @@ class BatchResult:
 
     def estimates(self) -> List[Optional[OnlineEstimate]]:
         return [self.estimate(i) for i in range(self.n_rows)]
+
+    def split(self, sizes: Sequence[int]) -> List["BatchResult"]:
+        """Consecutive row blocks of ``sizes`` rows as their own
+        results, flag rows re-indexed to each block — what stepping
+        each block as its own batch returns, when no node spans two
+        blocks."""
+        parts: List[BatchResult] = []
+        start = 0
+        for size in sizes:
+            stop = start + size
+            parts.append(
+                BatchResult(
+                    node_ids=self.node_ids[start:stop],
+                    produced=self.produced[start:stop],
+                    power_w=self.power_w[start:stop],
+                    smoothed_w=self.smoothed_w[start:stop],
+                    time_s=self.time_s[start:stop],
+                    source_model=self.source_model[start:stop],
+                    flags={
+                        row - start: flags
+                        for row, flags in self.flags.items()
+                        if start <= row < stop
+                    },
+                )
+            )
+            start = stop
+        return parts
 
 
 class FleetEstimator:

@@ -10,13 +10,16 @@ run, and degradation graded by the AU013 audit rule.
 
 from __future__ import annotations
 
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.audit import audit_fleet
 from repro.core.online import OnlineEstimator
 from repro.faults import IngestFaultInjector, IngestFaultPlan
-from repro.serve import FleetService, NodeSample
+from repro.serve import FleetService, NodeSample, make_batch
 
 from .conftest import make_fleet_samples
 
@@ -253,3 +256,219 @@ class TestServiceSoak:
         audit = audit_fleet(report)
         assert audit.verdict == "fail"
         assert any(f.rule_id == "AU013" for f in audit.findings)
+
+
+def per_shard_process(service):
+    """Oracle tick: each admitted shard's rows go through their own
+    ``make_batch`` and ``step_batch`` call, in shard order."""
+    service._ticks += 1
+    for breaker in service.breakers:
+        breaker.tick()
+    by_shard = {}
+    for sample in service.queue.drain(0):
+        by_shard.setdefault(service.shard_of(sample.node_id), []).append(
+            sample
+        )
+    results, stateless, refused = [], [], 0
+    for shard in sorted(by_shard):
+        shard_rows = by_shard[shard]
+        breaker = service.breakers[shard]
+        if not breaker.allow():
+            stateless.extend(service._stateless_answers(shard_rows))
+            refused += 1
+            continue
+        try:
+            if service._step_hook is not None:
+                service._step_hook(shard, shard_rows)
+            service._restore_missing(shard_rows)
+            batch = make_batch(shard_rows, service.fleet.counters)
+            results.append(service.fleet.step_batch(batch))
+        except Exception:  # replint: ignore[RL007] -- mirrors the service's breaker handling
+            breaker.record_failure()
+            stateless.extend(service._stateless_answers(shard_rows))
+            continue
+        breaker.record_success()
+    if service.store is not None and service.snapshot_worker.due(
+        service.ticks
+    ):
+        service.snapshot_worker.run(
+            service.fleet, service.store, service.breakers
+        )
+    return results, stateless, refused
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.node_ids == w.node_ids
+        for name in ("power_w", "smoothed_w", "time_s"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+        assert np.array_equal(g.produced, w.produced)
+        assert np.array_equal(g.source_model, w.source_model)
+        assert g.flags == w.flags
+
+
+def assert_same_service(got, want):
+    assert got.fleet.node_ids() == want.fleet.node_ids()
+    for node in want.fleet.node_ids():
+        assert got.fleet.drift_report(node) == want.fleet.drift_report(node)
+    assert [(b.state, b.trips, b.refused) for b in got.breakers] == [
+        (b.state, b.trips, b.refused) for b in want.breakers
+    ]
+    assert got.report() == want.report()
+
+
+def flaky_hook(service, bad_shard, ticks):
+    def hook(shard, rows):
+        if shard == bad_shard and service.ticks in ticks:
+            raise RuntimeError("injected shard fault")
+
+    return hook
+
+
+class TestMergedStep:
+    """``process`` packs per shard, then steps all admitted shards as
+    one merged batch; everything observable must equal per-shard
+    stepping."""
+
+    @pytest.mark.parametrize("fault_seed", [0, 1, 20170529])
+    def test_matches_per_shard_oracle_under_chaos(
+        self, model, envelope, fault_seed
+    ):
+        plan = IngestFaultPlan.chaos(
+            0.6, faulty_node_fraction=0.25, fault_seed=fault_seed
+        )
+        injector = IngestFaultInjector(plan, 77)
+        make = lambda: FleetService(
+            model,
+            envelope=envelope,
+            n_shards=4,
+            queue_capacity=4096,
+            shard_breaker_threshold=2,
+            shard_breaker_cooldown=3,
+            seed=7,
+        )
+        merged, oracle = make(), make()
+        bad_shard = merged.shard_of(NODES[0])
+        merged._step_hook = flaky_hook(merged, bad_shard, range(4, 9))
+        oracle._step_hook = flaky_hook(oracle, bad_shard, range(4, 9))
+        rng = np.random.default_rng(3)
+        any_stateless = False
+        for tick in range(30):
+            corrupted = injector.corrupt(
+                make_fleet_samples(NODES, tick, rng), tick
+            )
+            merged.submit(corrupted)
+            oracle.submit(corrupted)
+            outcome = merged.process()
+            results, stateless, refused = per_shard_process(oracle)
+            assert_same_results(outcome.results, results)
+            assert outcome.stateless == tuple(stateless)
+            assert outcome.refused_shards == refused
+            assert outcome.processed_rows == sum(r.n_rows for r in results)
+            any_stateless |= bool(stateless)
+        assert any_stateless
+        assert merged.breakers[bad_shard].trips >= 1
+        assert_same_service(merged, oracle)
+
+    def test_restore_keeps_per_shard_registration_order(
+        self, model, envelope, tmp_path
+    ):
+        """Restored nodes of a later shard and new nodes of an earlier
+        shard arrive in one tick: the fleet's node order must still be
+        the per-shard one."""
+        first = FleetService(
+            model, envelope=envelope, n_shards=4, queue_capacity=4096,
+            snapshot_dir=str(tmp_path / "seed"), seed=7,
+        )
+        drive(first, 3, node_ids=NODES[1::2])
+        first.snapshot()
+
+        def make(name):
+            shutil.copytree(tmp_path / "seed", tmp_path / name)
+            return FleetService(
+                model, envelope=envelope, n_shards=4, queue_capacity=4096,
+                snapshot_dir=str(tmp_path / name), seed=7,
+            )
+
+        merged, oracle = make("merged"), make("oracle")
+        rng = np.random.default_rng(11)
+        for tick in range(3):
+            samples = make_fleet_samples(NODES, tick, rng)
+            merged.submit(samples)
+            oracle.submit(samples)
+            outcome = merged.process()
+            results, _, _ = per_shard_process(oracle)
+            assert_same_results(outcome.results, results)
+        assert merged.restored_nodes == len(NODES[1::2])
+        assert merged.fleet.node_ids() != tuple(NODES)
+        assert_same_service(merged, oracle)
+
+    def test_non_numeric_delta_trips_only_its_shard(self, model, envelope):
+        """A sample the schema middleware accepts but ``make_batch``
+        cannot pack fails its own shard; every other node advances."""
+        service = FleetService(
+            model,
+            envelope=envelope,
+            n_shards=4,
+            queue_capacity=4096,
+            shard_breaker_threshold=2,
+            seed=7,
+        )
+        victim = NODES[0]
+        bad_shard = service.shard_of(victim)
+        in_bad = [n for n in NODES if service.shard_of(n) == bad_shard]
+        out_bad = [n for n in NODES if service.shard_of(n) != bad_shard]
+        assert in_bad and out_bad
+        rng = np.random.default_rng(3)
+        for tick in range(3):
+            samples = make_fleet_samples(NODES, tick, rng)
+            samples[0] = replace(
+                samples[0],
+                counter_deltas={
+                    **samples[0].counter_deltas, "instructions": "n/a",
+                },
+            )
+            service.submit(samples)
+            outcome = service.process()
+            assert sorted(n for n, _ in outcome.stateless) == sorted(in_bad)
+            assert outcome.processed_rows == len(out_bad)
+        assert service.validator.n_dropped == 0
+        for node in out_bad:
+            assert service.fleet.drift_report(node).n_intervals == 3
+        assert not any(service.fleet.has_node(n) for n in in_bad)
+        for shard, breaker in enumerate(service.breakers):
+            if shard == bad_shard:
+                assert (breaker.state, breaker.trips) == ("open", 1)
+            else:
+                assert (breaker.state, breaker.trips) == ("closed", 0)
+
+    def test_raising_merged_step_fails_every_admitted_shard(
+        self, model, envelope, monkeypatch
+    ):
+        service = FleetService(
+            model, envelope=envelope, n_shards=4, queue_capacity=4096, seed=7
+        )
+        admitted = {service.shard_of(n) for n in NODES}
+        assert 1 < len(admitted) < service.n_shards
+        rng = np.random.default_rng(3)
+        service.submit(make_fleet_samples(NODES, 0, rng))
+        service.process()
+
+        def boom(batch):
+            raise RuntimeError("injected merged-step fault")
+
+        monkeypatch.setattr(service.fleet, "step_batch", boom)
+        for tick in range(1, 4):
+            service.submit(make_fleet_samples(NODES, tick, rng))
+            outcome = service.process()
+            assert outcome.results == ()
+            assert outcome.processed_rows == 0
+            assert sorted(n for n, _ in outcome.stateless) == sorted(NODES)
+        for shard, breaker in enumerate(service.breakers):
+            # A shard with no rows this tick ran no operation.
+            want = ("open", 1) if shard in admitted else ("closed", 0)
+            assert (breaker.state, breaker.trips) == want
+        for node in NODES:
+            assert service.fleet.drift_report(node).n_intervals == 1
+        assert service.report().stateless_served == 3 * len(NODES)
