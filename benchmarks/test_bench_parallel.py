@@ -75,6 +75,15 @@ class DwellPlatform(Platform):
         time.sleep(DWELL_S)
         return run
 
+    def execute_runs(self, workload, frequency_mhz, threads, run_indices, **kwargs):
+        # The experiment kernel executes an experiment's runs in one
+        # batch: the same dwell per run.
+        batch = super().execute_runs(
+            workload, frequency_mhz, threads, run_indices, **kwargs
+        )
+        time.sleep(DWELL_S * len(batch.run_indices))
+        return batch
+
 
 def _dwell_r2(result):
     """``r2`` with the wall-time profile of a real candidate fit."""

@@ -51,6 +51,15 @@ class DwellPlatform(Platform):
         time.sleep(DWELL_S)
         return run
 
+    def execute_runs(self, workload, frequency_mhz, threads, run_indices, **kwargs):
+        # Campaign cells execute as batches through the experiment
+        # kernel: the same dwell per run.
+        batch = super().execute_runs(
+            workload, frequency_mhz, threads, run_indices, **kwargs
+        )
+        time.sleep(DWELL_S * len(batch.run_indices))
+        return batch
+
 
 def bench_plan():
     return CampaignPlan(

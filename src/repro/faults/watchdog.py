@@ -57,6 +57,8 @@ def _max_equal_run(values: np.ndarray) -> int:
         return values.size
     # Compare neighbours; NaN != NaN keeps dropout out of this check.
     equal = values[1:] == values[:-1]  # replint: ignore[RL004] -- exact repeats are the signal
+    if not equal.any():
+        return 1
     best = run = 1
     for same in equal:
         run = run + 1 if same else 1
@@ -85,7 +87,9 @@ def validate_trace(trace: Trace) -> None:
     for name, stream in trace.metrics.items():
         if not name.startswith(ApapiPlugin.PREFIX) or not stream.values.size:
             continue
-        peak = float(np.nanmax(stream.values))
+        peak = float(stream.values.max())
+        if peak != peak:  # NaN samples present: the peak of the rest
+            peak = float(np.nanmax(stream.values))
         if peak > PLAUSIBLE_MAX_RATE_PER_S:
             raise AcquisitionError(
                 f"counter {name[len(ApapiPlugin.PREFIX):]} reports "

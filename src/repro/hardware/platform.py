@@ -15,7 +15,7 @@ system under test and the measurement infrastructure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,7 @@ from repro.seeding import (
 )
 from repro.workloads.base import PhaseSpec, Workload
 
-__all__ = ["PhaseExecution", "RunExecution", "Platform"]
+__all__ = ["PhaseExecution", "RunExecution", "RunWords", "RunBatch", "Platform"]
 
 #: Counters exempt from run-to-run execution jitter: cycle counts are
 #: pinned by the fixed frequency and wall time.
@@ -84,6 +84,8 @@ class _RunSkeleton:
     rates: np.ndarray
     hidden: Tuple
     breakdowns: Tuple[PowerBreakdown, ...]
+    socket_w: np.ndarray
+    """Pre-jitter per-socket power, ``(phases, sockets)``."""
     voltages: Tuple[float, ...]
     bounds: Tuple[Tuple[float, float], ...]
     derived: bool
@@ -124,6 +126,119 @@ class RunExecution:
         return self.phases[-1].end_s if self.phases else 0.0
 
 
+@dataclass(frozen=True)
+class RunWords:
+    """Expanded PCG64 state words of a batch of runs of one experiment.
+
+    ``run`` holds one row per run for the run-jitter stream
+    (``derive_rng(seed, "run", workload, f, threads, run_index)``);
+    ``streams`` maps each metric-plugin key head (the plugin type name)
+    to ``(runs, phases, 4)`` words of its per-phase streams
+    (``derive_rng(seed, "plugin", head, workload, f, threads,
+    run_index, phase_name)``).  :func:`~repro.seeding.rng_from_state_words`
+    turns a row into the generator a cold ``default_rng`` construction
+    would give.
+    """
+
+    phase_names: Tuple[str, ...]
+    run: np.ndarray
+    streams: Dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class RunBatch:
+    """Ground truth of several runs of one experiment, stacked.
+
+    The event-set runs of a (workload, frequency, threads) experiment
+    share their phases, timings and true voltages; only the run-level
+    jitter differs.  ``rates`` holds the jittered counter rates
+    ``(runs, phases, counters)`` and ``socket_w`` the jittered
+    per-socket power ``(runs, phases, sockets)``, row ``i`` belonging
+    to ``run_indices[i]``.  ``words`` carries the batch's expanded RNG
+    words for the tracer.  :meth:`run` materializes one run as the
+    :class:`RunExecution` that :meth:`Platform.execute` returns.
+    """
+
+    workload_name: str
+    suite: str
+    op: OperatingPoint
+    threads: int
+    seed: int
+    run_indices: Tuple[int, ...]
+    specs: Tuple[PhaseSpec, ...]
+    bounds: Tuple[Tuple[float, float], ...]
+    voltages: Tuple[float, ...]
+    hidden: Tuple
+    breakdowns: Tuple[PowerBreakdown, ...]
+    """Pre-jitter breakdowns; :meth:`run` swaps in the jittered
+    ``socket_w`` row."""
+    rates: np.ndarray
+    socket_w: np.ndarray
+    words: RunWords
+
+    def run(self, i: int) -> RunExecution:
+        """Row ``i`` as a :class:`RunExecution`."""
+        socket_w = self.socket_w[i].tolist()
+        rates = self.rates[i]
+        return RunExecution(
+            workload_name=self.workload_name,
+            suite=self.suite,
+            op=self.op,
+            threads=self.threads,
+            run_index=self.run_indices[i],
+            phases=tuple(
+                PhaseExecution(
+                    phase=spec,
+                    start_s=start_s,
+                    end_s=end_s,
+                    state=MicroarchState(counter_rates=rates[p], hidden=hidden),
+                    power_breakdown=replace(
+                        base, per_socket_w=tuple(socket_w[p])
+                    ),
+                    true_voltage_v=voltage_v,
+                )
+                for p, (spec, (start_s, end_s), hidden, base, voltage_v) in enumerate(
+                    zip(
+                        self.specs,
+                        self.bounds,
+                        self.hidden,
+                        self.breakdowns,
+                        self.voltages,
+                    )
+                )
+            ),
+            seed=self.seed,
+        )
+
+    @staticmethod
+    def of(run: RunExecution, words: RunWords) -> "RunBatch":
+        """A batch of one holding an already executed run."""
+        phases = run.phases
+        n_phases = len(phases)
+        n_sockets = len(phases[0].power_breakdown.per_socket_w) if phases else 0
+        return RunBatch(
+            workload_name=run.workload_name,
+            suite=run.suite,
+            op=run.op,
+            threads=run.threads,
+            seed=run.seed,
+            run_indices=(run.run_index,),
+            specs=tuple(pe.phase for pe in phases),
+            bounds=tuple((pe.start_s, pe.end_s) for pe in phases),
+            voltages=tuple(pe.true_voltage_v for pe in phases),
+            hidden=tuple(pe.state.hidden for pe in phases),
+            breakdowns=tuple(pe.power_breakdown for pe in phases),
+            rates=np.array(
+                [pe.state.counter_rates for pe in phases], dtype=np.float64
+            ).reshape(1, n_phases, len(COUNTER_NAMES)),
+            socket_w=np.array(
+                [pe.power_breakdown.per_socket_w for pe in phases],
+                dtype=np.float64,
+            ).reshape(1, n_phases, n_sockets),
+            words=words,
+        )
+
+
 class Platform:
     """Simulated dual-socket x86 node with instrumentation attached."""
 
@@ -158,23 +273,26 @@ class Platform:
         # run_index-independent part of execute().  Same lifecycle as
         # the phase memo.
         self._run_memo: dict = {}
-        # Pre-hashed head of the per-run jitter RNG key (fast path
-        # only; holds a hash object, so it is rebuilt after pickling).
-        self._run_hasher = SeedHasher(seed, "run")
-        # Pre-expanded RNG state words, filled by campaigns via
-        # prime_rng_words and keyed (workload, frequency, threads,
-        # run_index) -> {stream name -> words}.  A pure derivation
-        # cache: a hit yields the same generator stream a cold
-        # default_rng construction would.  Same lifecycle as the memos.
-        self._rng_words: dict = {}
+        self._reset_seed_hashers()
+
+    def _reset_seed_hashers(self) -> None:
+        """Pre-hashed RNG key heads of the fast path (hash objects do
+        not pickle, so workers rebuild them)."""
+        # Head of every per-run jitter key, and of each plugin type's
+        # per-phase stream keys (filled as plugin names are first seen).
+        self._run_hasher = SeedHasher(self.seed, "run")
+        self._stream_hashers: Dict[str, SeedHasher] = {}
+        # Encoded phase-name key suffixes: every event-set run of an
+        # experiment re-derives one stream per (plugin, phase).
+        self._name_blobs: Dict[str, bytes] = {}
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_phase_memo"] = None
         state["_run_memo"] = None
-        state["_run_hasher"] = None
-        state["_rng_words"] = None
+        for name in ("_run_hasher", "_stream_hashers", "_name_blobs"):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -183,10 +301,7 @@ class Platform:
             self._phase_memo = PhaseStateMemo()
         if self.__dict__.get("_run_memo") is None:
             self._run_memo = {}
-        if self.__dict__.get("_run_hasher") is None:
-            self._run_hasher = SeedHasher(self.seed, "run")
-        if self.__dict__.get("_rng_words") is None:
-            self._rng_words = {}
+        self._reset_seed_hashers()
 
     # ------------------------------------------------------------------
     def execute(
@@ -213,142 +328,66 @@ class Platform:
         same cell (retry loops) pass a pre-derived phase list instead
         of re-deriving it from the workload every attempt.
         """
-        use_fast = fastsim_enabled(fast)
-        if use_fast:
-            skeleton = self._run_skeleton(workload, frequency_mhz, threads, phases)
-            specs = skeleton.specs
-            op = skeleton.op
-        else:
-            workload.validate_threads(threads, self.cfg.total_cores)
-            op = self.cfg.curve.operating_point(frequency_mhz)
-            specs = (
-                tuple(phases)
-                if phases is not None
-                else tuple(workload.phases(threads))
-            )
-        if use_fast:
-            # Same key path as the scalar derive_rng below, with the
-            # constant ("run",) head pre-hashed (SeedHasher contract)
-            # and, under a primed campaign, the seed's PCG64 state
-            # words already expanded (rng_from_state_words contract).
-            entry = self._rng_words.get(
-                (workload.name, frequency_mhz, threads, run_index)
-            )
-            words = entry.get("run") if entry is not None else None
-            if words is not None:
-                rng = rng_from_state_words(words)
-            else:
-                rng = self._run_hasher.rng(
-                    workload.name, frequency_mhz, threads, run_index
-                )
-        else:
-            rng = derive_rng(
-                self.seed, "run", workload.name, frequency_mhz, threads, run_index
-            )
-        if use_fast:
-            # One block draw; scalar ``normal(0, s)`` is ``0.0 + s*z``
-            # on the same ziggurat stream, so the values are identical.
-            z = rng.standard_normal(3)
-            jitter = 1.0 + float(0.0 + self.run_jitter_sigma * z[0])
-            power_jitter = (
-                1.0
-                + 0.6 * (jitter - 1.0)
-                + float(0.0 + self.power_jitter_sigma * z[1])
-            )
-            power_offset = float(0.0 + self.power_offset_sigma_w * z[2])
-        else:
-            jitter = 1.0 + float(rng.normal(0.0, self.run_jitter_sigma))
-            power_jitter = (
-                1.0
-                + 0.6 * (jitter - 1.0)
-                + float(rng.normal(0.0, self.power_jitter_sigma))
-            )
-            power_offset = float(rng.normal(0.0, self.power_offset_sigma_w))
+        if fastsim_enabled(fast):
+            # A batch of one through the experiment kernel (its shared
+            # implementation: subclasses hooking execute_runs, such as
+            # the fault injector's FaultyPlatform, hook execute too and
+            # must not see a single run twice).
+            return self._stack_runs(
+                workload, frequency_mhz, threads, (run_index,), phases, ()
+            ).run(0)
+        workload.validate_threads(threads, self.cfg.total_cores)
+        op = self.cfg.curve.operating_point(frequency_mhz)
+        specs = tuple(phases) if phases is not None else tuple(workload.phases(threads))
+        rng = derive_rng(
+            self.seed, "run", workload.name, frequency_mhz, threads, run_index
+        )
+        jitter = 1.0 + float(rng.normal(0.0, self.run_jitter_sigma))
+        power_jitter = (
+            1.0
+            + 0.6 * (jitter - 1.0)
+            + float(rng.normal(0.0, self.power_jitter_sigma))
+        )
+        power_offset = float(rng.normal(0.0, self.power_offset_sigma_w))
         # Run-level absolute power offset: OS housekeeping, fan state,
         # VR operating-point differences.  Dominates *relative* error at
         # the low end of the power range.
         per_socket_offset = power_offset / self.cfg.sockets
 
         executions: List[PhaseExecution] = []
-        if use_fast:
-            # Replay the skeleton: one jitter multiply over the stacked
-            # pre-jitter rates (exempt columns restored from the stack,
-            # same values as the masked per-phase multiply), then only
-            # the per-run breakdown scaling runs per phase.
-            jittered = skeleton.rates * jitter
-            if jittered.size:
-                jittered[:, _EXEMPT_IDX] = skeleton.rates[:, _EXEMPT_IDX]
-            hidden = skeleton.hidden
-            voltages = skeleton.voltages
-            bounds = skeleton.bounds
-            append = executions.append
-            for i, spec in enumerate(specs):
-                base = skeleton.breakdowns[i]
-                breakdown = PowerBreakdown(
-                    per_socket_w=tuple(
-                        [
-                            max(p * power_jitter + per_socket_offset, 0.0)
-                            for p in base.per_socket_w
-                        ]
-                    ),
-                    dynamic_core_w=base.dynamic_core_w,
-                    uncore_w=base.uncore_w,
-                    static_w=base.static_w,
-                    board_w=base.board_w,
-                    temperature_c=base.temperature_c,
+        states = [
+            self._apply_jitter(
+                evaluate(spec.characterization, op, spec.active_threads, self.cfg),
+                jitter,
+            )
+            for spec in specs
+        ]
+        t = 0.0
+        for spec, state in zip(specs, states):
+            breakdown = compute_power(state.hidden, op, self.cfg, self.power_params)
+            breakdown = PowerBreakdown(
+                per_socket_w=tuple(
+                    max(p * power_jitter + per_socket_offset, 0.0)
+                    for p in breakdown.per_socket_w
+                ),
+                dynamic_core_w=breakdown.dynamic_core_w,
+                uncore_w=breakdown.uncore_w,
+                static_w=breakdown.static_w,
+                board_w=breakdown.board_w,
+                temperature_c=breakdown.temperature_c,
+            )
+            true_v = self.voltage.true_voltage(op, spec.active_threads)
+            executions.append(
+                PhaseExecution(
+                    phase=spec,
+                    start_s=t,
+                    end_s=t + spec.duration_s,
+                    state=state,
+                    power_breakdown=breakdown,
+                    true_voltage_v=true_v,
                 )
-                start_s, end_s = bounds[i]
-                append(
-                    PhaseExecution(
-                        phase=spec,
-                        start_s=start_s,
-                        end_s=end_s,
-                        state=MicroarchState(
-                            counter_rates=jittered[i],
-                            hidden=hidden[i],
-                        ),
-                        power_breakdown=breakdown,
-                        true_voltage_v=voltages[i],
-                    )
-                )
-        else:
-            states = [
-                self._apply_jitter(
-                    evaluate(
-                        spec.characterization, op, spec.active_threads, self.cfg
-                    ),
-                    jitter,
-                )
-                for spec in specs
-            ]
-            t = 0.0
-            for spec, state in zip(specs, states):
-                breakdown = compute_power(
-                    state.hidden, op, self.cfg, self.power_params
-                )
-                breakdown = PowerBreakdown(
-                    per_socket_w=tuple(
-                        max(p * power_jitter + per_socket_offset, 0.0)
-                        for p in breakdown.per_socket_w
-                    ),
-                    dynamic_core_w=breakdown.dynamic_core_w,
-                    uncore_w=breakdown.uncore_w,
-                    static_w=breakdown.static_w,
-                    board_w=breakdown.board_w,
-                    temperature_c=breakdown.temperature_c,
-                )
-                true_v = self.voltage.true_voltage(op, spec.active_threads)
-                executions.append(
-                    PhaseExecution(
-                        phase=spec,
-                        start_s=t,
-                        end_s=t + spec.duration_s,
-                        state=state,
-                        power_breakdown=breakdown,
-                        true_voltage_v=true_v,
-                    )
-                )
-                t += spec.duration_s
+            )
+            t += spec.duration_s
 
         return RunExecution(
             workload_name=workload.name,
@@ -358,6 +397,91 @@ class Platform:
             run_index=run_index,
             phases=tuple(executions),
             seed=self.seed,
+        )
+
+    # ------------------------------------------------------------------
+    def execute_runs(
+        self,
+        workload: Workload,
+        frequency_mhz: int,
+        threads: int,
+        run_indices: Sequence[int],
+        *,
+        phases: Optional[Sequence[PhaseSpec]] = None,
+        streams: Sequence[str] = (),
+    ) -> RunBatch:
+        """Execute several runs of one experiment in one stacked pass.
+
+        The experiment kernel's execution stage: the run skeleton is
+        looked up once, the RNG words of every run's jitter stream —
+        and of the per-phase metric streams of each plugin key head in
+        ``streams`` — are expanded in one
+        :func:`~repro.seeding.seedseq_state_words` call, and the jitter
+        and power scaling apply over the stacked ``(runs × phases)``
+        block.  Row ``i`` equals ``execute(..., run_index=run_indices[i])``
+        bit for bit: every element sees the scalar path's operation
+        sequence (``normal(0, s)`` is ``0.0 + s*z`` on the same
+        ziggurat stream, ``max(x, 0.0)`` is ``np.maximum``).
+        """
+        return self._stack_runs(
+            workload, frequency_mhz, threads, tuple(run_indices), phases, streams
+        )
+
+    def _stack_runs(
+        self,
+        workload: Workload,
+        frequency_mhz: int,
+        threads: int,
+        run_indices: Tuple[int, ...],
+        phases: Optional[Sequence[PhaseSpec]],
+        streams: Sequence[str],
+    ) -> RunBatch:
+        """:meth:`execute_runs` proper (also :meth:`execute`'s fast path)."""
+        skeleton = self._run_skeleton(workload, frequency_mhz, threads, phases)
+        words = self.expand_rng_words(
+            workload.name,
+            frequency_mhz,
+            threads,
+            run_indices,
+            tuple(spec.name for spec in skeleton.specs),
+            streams,
+        )
+        z = np.empty((len(run_indices), 3))
+        for row, run_words in zip(z, words.run):
+            rng_from_state_words(run_words).standard_normal(out=row)
+        jitter = 1.0 + (0.0 + self.run_jitter_sigma * z[:, 0])
+        power_jitter = (
+            1.0
+            + 0.6 * (jitter - 1.0)
+            + (0.0 + self.power_jitter_sigma * z[:, 1])
+        )
+        # Run-level absolute power offset: OS housekeeping, fan state,
+        # VR operating-point differences.  Dominates *relative* error at
+        # the low end of the power range.
+        per_socket_offset = (0.0 + self.power_offset_sigma_w * z[:, 2]) / self.cfg.sockets
+        # Cycle counters are exempt from jitter: restored from the stack.
+        rates = skeleton.rates[None, :, :] * jitter[:, None, None]
+        rates[:, :, _EXEMPT_IDX] = skeleton.rates[:, _EXEMPT_IDX]
+        socket_w = np.maximum(
+            skeleton.socket_w[None, :, :] * power_jitter[:, None, None]
+            + per_socket_offset[:, None, None],
+            0.0,
+        )
+        return RunBatch(
+            workload_name=workload.name,
+            suite=workload.suite,
+            op=skeleton.op,
+            threads=threads,
+            seed=self.seed,
+            run_indices=run_indices,
+            specs=skeleton.specs,
+            bounds=skeleton.bounds,
+            voltages=skeleton.voltages,
+            hidden=skeleton.hidden,
+            breakdowns=skeleton.breakdowns,
+            rates=rates,
+            socket_w=socket_w,
+            words=words,
         )
 
     # ------------------------------------------------------------------
@@ -398,12 +522,18 @@ class Platform:
         for spec in specs:
             bounds.append((t, t + spec.duration_s))
             t += spec.duration_s
+        breakdowns = tuple(breakdown for _, breakdown in pairs)
+        socket_w = np.array(
+            [b.per_socket_w for b in breakdowns], dtype=np.float64
+        ).reshape(len(breakdowns), self.cfg.sockets)
+        socket_w.setflags(write=False)
         skeleton = _RunSkeleton(
             specs=specs,
             op=op,
             rates=rates,
             hidden=tuple(state.hidden for state, _ in pairs),
-            breakdowns=tuple(breakdown for _, breakdown in pairs),
+            breakdowns=breakdowns,
+            socket_w=socket_w,
             voltages=tuple(
                 self.voltage.true_voltage(op, spec.active_threads)
                 for spec in specs
@@ -470,77 +600,92 @@ class Platform:
         self,
         runs: Iterable[Tuple[Workload, int, int, int]],
         plugin_names: Sequence[str],
-    ) -> None:
-        """Expand every run's RNG seeds to PCG64 state words, batched.
-
-        A campaign constructs one generator per run-level jitter draw
-        plus one per (plugin, phase) metric stream; built one at a
-        time, each pays ``default_rng``'s ``SeedSequence`` expansion.
-        The seeds are all known up front, so this derives them with the
-        incremental hasher and runs one vectorized
-        :func:`~repro.seeding.seedseq_state_words` pass over the lot.
-        :meth:`execute` and the tracer then construct each generator
-        from its precomputed words — the same stream a cold
-        ``default_rng(seed)`` construction yields, so primed and
-        unprimed acquisition are bit-identical.
+    ) -> Dict[Tuple[str, int, int], RunWords]:
+        """Expand the RNG words of a set of runs, per experiment.
 
         ``runs`` holds (workload, frequency_mhz, threads, run_index);
         ``plugin_names`` the plugin *type* names of the tracer (their
-        RNG key heads).  Phase names come from the memoized run
-        skeleton — prime skeletons first to keep that build batched.
+        RNG key heads).  Runs are grouped by (workload, frequency,
+        threads) in first-seen order and each group is expanded exactly
+        as :meth:`execute_runs` expands its batch, phase names taken
+        from the workload's own phase list.  Nothing is cached: the
+        experiment kernel expands its words where it runs (in the
+        worker, on the process backend).
         """
-        cache = self._rng_words
-        if len(cache) >= 8192:
-            cache.clear()
-        bases = {
-            name: SeedHasher(self.seed, "plugin", name)
-            for name in plugin_names
-        }
-        name_blobs: Dict[str, bytes] = {}
-        experiment_names: Dict[Tuple[str, int, int], Tuple[str, ...]] = {}
-        seeds: List[int] = []
-        layout: List[Tuple[Tuple[str, int, int, int], int, Tuple[str, ...]]] = []
+        groups: Dict[Tuple[str, int, int], Tuple[Tuple[str, ...], List[int]]] = {}
         for workload, frequency_mhz, threads, run_index in runs:
-            run_key = (workload.name, frequency_mhz, threads, run_index)
-            if run_key in cache:
-                continue
-            phase_names = experiment_names.get(run_key[:3])
-            if phase_names is None:
-                skeleton = self._run_skeleton(
-                    workload, frequency_mhz, threads, None
+            key = (workload.name, frequency_mhz, threads)
+            group = groups.get(key)
+            if group is None:
+                skeleton = self._run_skeleton(workload, frequency_mhz, threads, None)
+                group = groups[key] = (
+                    tuple(spec.name for spec in skeleton.specs),
+                    [],
                 )
-                phase_names = tuple(spec.name for spec in skeleton.specs)
-                experiment_names[run_key[:3]] = phase_names
-            run_blob = SeedHasher.encode(
-                workload.name, frequency_mhz, threads, run_index
-            )
-            layout.append((run_key, len(seeds), phase_names))
-            seeds.append(self._run_hasher.seed_encoded(run_blob))
-            for base in bases.values():
-                child = base.child_encoded(run_blob)
-                for phase_name in phase_names:
-                    blob = name_blobs.get(phase_name)
-                    if blob is None:
-                        name_blobs[phase_name] = blob = SeedHasher.encode(
-                            phase_name
-                        )
-                    seeds.append(child.seed_encoded(blob))
-        if not seeds:
-            return
-        words = seedseq_state_words(seeds)
-        for run_key, start, phase_names in layout:
-            entry: Dict[str, object] = {
-                # Guards consumers against phase-list drift: words are
-                # replayed positionally, so the names must match.
-                "phases": phase_names,
-                "run": words[start],
-            }
-            pos = start + 1
-            n_phases = len(phase_names)
-            for name in bases:
-                entry[name] = words[pos : pos + n_phases]
-                pos += n_phases
-            cache[run_key] = entry
+            group[1].append(run_index)
+        return {
+            key: self.expand_rng_words(*key, tuple(indices), names, plugin_names)
+            for key, (names, indices) in groups.items()
+        }
+
+    def expand_rng_words(
+        self,
+        workload_name: str,
+        frequency_mhz: int,
+        threads: int,
+        run_indices: Tuple[int, ...],
+        phase_names: Tuple[str, ...],
+        heads: Sequence[str],
+    ) -> RunWords:
+        """RNG words of runs ``run_indices`` of one experiment.
+
+        Each run's jitter stream and, per plugin key head in ``heads``,
+        one metric stream per phase in ``phase_names``.  Seeds are
+        derived with the incremental hasher (equal to
+        :func:`~repro.seeding.derive_seed` on the full key by the
+        :class:`~repro.seeding.SeedHasher` contract) and expanded in
+        one :func:`~repro.seeding.seedseq_state_words` call.
+        """
+        # The experiment part of every key is absorbed once per batch;
+        # each run then hashes only its index (and phase names).
+        experiment = SeedHasher.encode(workload_name, frequency_mhz, threads)
+        run_hasher = self._run_hasher.child_encoded(experiment)
+        hashers = []
+        for head in heads:
+            hasher = self._stream_hashers.get(head)
+            if hasher is None:
+                hasher = SeedHasher(self.seed, "plugin", head)
+                self._stream_hashers[head] = hasher
+            hashers.append(hasher.child_encoded(experiment))
+        name_blobs = self._name_blobs
+        blobs = []
+        for name in phase_names:
+            blob = name_blobs.get(name)
+            if blob is None:
+                if len(name_blobs) >= 4096:
+                    name_blobs.clear()
+                name_blobs[name] = blob = SeedHasher.encode(name)
+            blobs.append(blob)
+        seeds: List[int] = []
+        for run_index in run_indices:
+            run_blob = SeedHasher.encode(run_index)
+            seeds.append(run_hasher.seed_encoded(run_blob))
+            for hasher in hashers:
+                child = hasher.child_encoded(run_blob)
+                seeds.extend([child.seed_encoded(blob) for blob in blobs])
+        # Per run: the jitter word, then each head's phase words.
+        n_runs, n_phases = len(run_indices), len(phase_names)
+        words = seedseq_state_words(seeds).reshape(
+            n_runs, 1 + len(heads) * n_phases, 4
+        )
+        return RunWords(
+            phase_names=phase_names,
+            run=words[:, 0],
+            streams={
+                head: words[:, 1 + j * n_phases : 1 + (j + 1) * n_phases]
+                for j, head in enumerate(heads)
+            },
+        )
 
     # ------------------------------------------------------------------
     def _phase_states_fast(

@@ -18,7 +18,7 @@ structure a calibrated lab instrument exhibits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -269,38 +269,49 @@ class SensorArray:
             total += mean + (0.0 + scales[c] * z[c])
         return float(total)
 
-    def sample_node_total(
+    def sample_node_totals(
         self,
-        per_socket_true_w: Tuple[float, ...],
-        n: int,
+        socket_w: np.ndarray,
+        sizes: Sequence[int],
         interval_s: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Summed node-power plugin samples for one phase.
+        rngs: Sequence[Sequence[np.random.Generator]],
+        out: np.ndarray,
+    ) -> None:
+        """Summed node-power plugin samples of a batch of runs.
 
-        Each of the ``n`` plugin samples is the mean of one raw-sensor
-        interval; all channels' noise comes from a single
-        ``standard_normal((channels, n))`` block whose C-order fill
-        matches the per-channel ``normal(0, scale, size=n)`` draws of
-        the one-channel-at-a-time path bit for bit.
+        ``socket_w[i, p]`` is the true per-socket power of run ``i`` in
+        phase ``p``, whose ``sizes[p]`` plugin samples land in
+        ``out[i]`` (phases concatenated).  Each sample is the mean of
+        one raw-sensor interval; a (run, phase) stream draws all its
+        channels' noise as one ``standard_normal((channels, n))``
+        block, whose C-order fill matches the per-channel
+        ``normal(0, scale, size=n)`` draws of the reference loop bit
+        for bit.  Every element then sees the loop's operation
+        sequence (``mean + (0.0 + scale * z)``) and the channels
+        accumulate in their sequential order.
         """
-        if len(per_socket_true_w) != len(self.sensors):
+        n_channels = len(self.sensors)
+        n_runs, _, n_sockets = socket_w.shape
+        if n_sockets != n_channels:
             raise ValueError(
-                f"{len(per_socket_true_w)} socket powers for "
-                f"{len(self.sensors)} sensor channels"
+                f"{n_sockets} socket powers for {n_channels} sensor channels"
             )
-        scales = self._window_scales(interval_s)
-        z = rng.standard_normal((len(self.sensors), n))
-        # One block of elementwise ufunc calls replaces the per-channel
-        # temporaries; every element sees the exact operation sequence
-        # of the channel loop (``mean + (0.0 + scale * z)``), and the
-        # channel accumulation below keeps its sequential order, so the
-        # result is bit-identical.
-        readings = scales[:, None] * z
-        np.add(0.0, readings, out=readings)
-        means = np.multiply(per_socket_true_w, self._gains) + self._offsets
-        np.add(means[:, None], readings, out=readings)
-        total = np.zeros(n)
-        for row in readings:
-            np.add(total, row, out=total)
-        return total
+        # z[i, c] holds run i's channel-c noise; one buffer per phase,
+        # so each stream's (channels, n) block is contiguous and drawn
+        # in place.
+        if len(sizes) == 1:
+            blocks = [np.empty((n_runs, n_channels, out.shape[1]))]
+        else:
+            blocks = [np.empty((n_runs, n_channels, n)) for n in sizes]
+        for i, run_rngs in enumerate(rngs):
+            for block, rng in zip(blocks, run_rngs):
+                rng.standard_normal(out=block[i])
+        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        np.multiply(self._window_scales(interval_s)[:, None], z, out=z)
+        # mean + (0.0 + noise): the 0.0 only turns a -0.0 into +0.0,
+        # which any mean other than -0.0 absorbs, so it is left out.
+        means = np.multiply(socket_w, self._gains) + self._offsets
+        np.add(np.repeat(means.transpose(0, 2, 1), sizes, axis=2), z, out=z)
+        out.fill(0.0)
+        for channel in range(n_channels):
+            np.add(out, z[:, channel], out=out)

@@ -17,15 +17,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.fastsim import fastsim_enabled
-from repro.tracing.otf2 import MetricStream, Trace
+from repro.tracing.otf2 import Trace
 from repro.tracing.plugins import ApapiPlugin, PowerPlugin, VoltagePlugin
+from repro.tracing.scorep import RunSamples
 
-__all__ = ["PhaseProfile", "profile_trace", "haecsim_profiles", "postprocess_profiles"]
+__all__ = [
+    "PhaseProfile",
+    "window_means",
+    "profile_runs",
+    "profile_trace",
+    "haecsim_profiles",
+    "postprocess_profiles",
+]
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,37 @@ def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhasePro
     # under REPRO_FASTSIM=0 extraction replays the original per-stream
     # window_mean calls, so the escape hatch covers the whole pipeline.
     if fastsim_enabled(None):
-        return _profile_fast(
-            trace, power_metric, voltage_metric, min_duration_s
+        intervals = [
+            interval
+            for interval in trace.phase_intervals()
+            if interval[2] - interval[1] >= min_duration_s
+        ]
+        windows = [(start, end) for _, start, end, _ in intervals]
+        # Streams sharing one times array (identity, as the fast tracer
+        # records them) share one window_means pass; streams with their
+        # own grid — fault-truncated copies — get their own.
+        groups: Dict[int, Tuple[np.ndarray, List[str]]] = {}
+        for name, stream in trace.metrics.items():
+            groups.setdefault(id(stream.times_s), (stream.times_s, []))[1].append(name)
+        means: Dict[str, List[float]] = {}
+        for times, names in groups.values():
+            stacked = np.stack([trace.metrics[name].values for name in names])
+            means.update(zip(names, window_means(stacked, times, windows).tolist()))
+        prefix = ApapiPlugin.PREFIX
+        return _assemble_profiles(
+            str(meta["workload"]),
+            str(meta["suite"]),
+            int(meta["frequency_mhz"]),
+            int(meta["threads"]),
+            int(meta["run_index"]),
+            intervals,
+            means[PowerPlugin.METRIC],
+            means[VoltagePlugin.METRIC],
+            [
+                (name[len(prefix) :], means[name])
+                for name in trace.metrics
+                if name.startswith(prefix)
+            ],
         )
 
     papi_names = [
@@ -117,72 +154,55 @@ def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhasePro
     return out
 
 
-def _profile_fast(
-    trace: Trace,
-    power_metric: MetricStream,
-    voltage_metric: MetricStream,
-    min_duration_s: float,
-) -> List[PhaseProfile]:
-    """Batched windowed extraction, bit-identical to the scalar loop.
+def window_means(
+    values: np.ndarray,
+    times: np.ndarray,
+    windows: Sequence[Tuple[float, float]],
+) -> np.ndarray:
+    """Mean of every row of ``values`` over every ``[start, end)`` window.
 
-    Stream arrays and metadata conversions are hoisted out of the
-    interval loop.  The tracer fast path gives every stream of a trace
-    the *same* times array, so window bounds are computed once on the
-    power stream and shared with every stream whose times array *is*
-    that object (identity, not equality — streams with their own grid,
-    e.g. fault-corrupted copies, recompute honestly).  The per-window
-    arithmetic is unchanged: ``np.add.reduce`` is ``ndarray.mean``'s
-    own pairwise summation without the method dispatch — sum/count,
-    bit-identical to the ``window_mean`` calls of the reference loop
-    above.
+    ``values`` is ``(rows, samples)`` sampled at ``times``; returns
+    ``(rows, windows)``, NaN where a window holds no sample.  One
+    row-wise ``np.add.reduce`` per window: along a contiguous row it is
+    ``ndarray.mean``'s own pairwise summation, so every entry equals
+    the per-stream :meth:`~repro.tracing.otf2.MetricStream.window_mean`
+    bit for bit.
     """
-    meta = trace.meta
-    workload = str(meta["workload"])
-    suite = str(meta["suite"])
-    frequency_mhz = int(meta["frequency_mhz"])
-    threads = int(meta["threads"])
-    run_index = int(meta["run_index"])
-    prefix = ApapiPlugin.PREFIX
-    prefix_len = len(prefix)
-    papi = [
-        (name[prefix_len:], m.times_s, m.values)
-        for name, m in trace.metrics.items()
-        if name.startswith(prefix)
-    ]
-    p_times, p_values = power_metric.times_s, power_metric.values
-    v_times, v_values = voltage_metric.times_s, voltage_metric.values
-    nan = float("nan")
-    searchsorted = np.searchsorted
-    reduce = np.add.reduce
-    out: List[PhaseProfile] = []
-    for region, start, end, active in trace.phase_intervals():
-        if end - start < min_duration_s:
-            continue
+    out = np.empty((values.shape[0], len(windows)))
+    for k, (start, end) in enumerate(windows):
         if end < start:
             raise ValueError("window end before start")
-        lo = int(searchsorted(p_times, start, side="left"))
-        hi = int(searchsorted(p_times, end, side="left"))
-        p = float(reduce(p_values[lo:hi]) / (hi - lo)) if hi > lo else nan
-        if v_times is p_times:
-            vlo, vhi = lo, hi
+        lo = int(np.searchsorted(times, start, side="left"))
+        hi = int(np.searchsorted(times, end, side="left"))
+        if hi > lo:
+            out[:, k] = np.add.reduce(values[:, lo:hi], axis=1) / (hi - lo)
         else:
-            vlo = int(searchsorted(v_times, start, side="left"))
-            vhi = int(searchsorted(v_times, end, side="left"))
-        v = float(reduce(v_values[vlo:vhi]) / (vhi - vlo)) if vhi > vlo else nan
-        if math.isnan(p) or math.isnan(v):
+            out[:, k] = np.nan
+    return out
+
+
+def _assemble_profiles(
+    workload: str,
+    suite: str,
+    frequency_mhz: int,
+    threads: int,
+    run_index: int,
+    intervals: Sequence[Tuple[str, float, float, int]],
+    power_w: Sequence[float],
+    voltage_v: Sequence[float],
+    counters: Sequence[Tuple[str, Sequence[float]]],
+) -> List[PhaseProfile]:
+    """Profiles of one run from its per-interval window means.
+
+    Intervals whose power or voltage mean is NaN are dropped, as are
+    NaN counter means (``x != x`` is ``isnan`` for floats).
+    """
+    out: List[PhaseProfile] = []
+    for k, (region, start, end, active) in enumerate(intervals):
+        p = power_w[k]
+        v = voltage_v[k]
+        if p != p or v != v:
             continue
-        rates = {}
-        for counter, times, values in papi:
-            if times is p_times:
-                clo, chi = lo, hi
-            else:
-                clo = int(searchsorted(times, start, side="left"))
-                chi = int(searchsorted(times, end, side="left"))
-            if chi <= clo:
-                continue
-            mean = float(reduce(values[clo:chi]) / (chi - clo))
-            if not math.isnan(mean):
-                rates[counter] = mean
         out.append(
             PhaseProfile(
                 workload=workload,
@@ -196,7 +216,60 @@ def _profile_fast(
                 active_threads=active,
                 power_w=p,
                 voltage_v=v,
-                counter_rates_per_s=rates,
+                counter_rates_per_s={
+                    counter: means[k]
+                    for counter, means in counters
+                    if means[k] == means[k]
+                },
+            )
+        )
+    return out
+
+
+def profile_runs(
+    samples: RunSamples, *, min_duration_s: float = 0.5
+) -> List[List[PhaseProfile]]:
+    """Phase profiles of every run of a batch: the experiment kernel's
+    extraction stage, one :func:`window_means` pass over the whole
+    sample block.
+
+    Equals :func:`profile_trace` on each run's trace.  The batch's
+    phases come from one run skeleton, so they are flat and never
+    overlap — the invariant :func:`haecsim_profiles` checks on traces.
+    """
+    batch = samples.batch
+    intervals = [
+        (spec.name, start, end, spec.active_threads)
+        for spec, (start, end) in zip(batch.specs, batch.bounds)
+        if end - start >= min_duration_s
+    ]
+    means = window_means(
+        samples.values, samples.times, [(start, end) for _, start, end, _ in intervals]
+    ).tolist()
+    prefix = ApapiPlugin.PREFIX
+    frequency_mhz = int(batch.op.frequency_mhz)
+    out: List[List[PhaseProfile]] = []
+    for i, run_index in enumerate(batch.run_indices):
+        rows = {mdef.name: row for mdef, row in samples.layout[i]}
+        power_row = rows.get(PowerPlugin.METRIC)
+        voltage_row = rows.get(VoltagePlugin.METRIC)
+        if power_row is None or voltage_row is None:
+            raise ValueError("trace lacks power/voltage metric streams")
+        out.append(
+            _assemble_profiles(
+                batch.workload_name,
+                batch.suite,
+                frequency_mhz,
+                batch.threads,
+                run_index,
+                intervals,
+                means[power_row],
+                means[voltage_row],
+                [
+                    (name[len(prefix) :], means[row])
+                    for name, row in rows.items()
+                    if name.startswith(prefix)
+                ],
             )
         )
     return out

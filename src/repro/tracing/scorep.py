@@ -8,51 +8,58 @@ samples to the trace (Section III-A).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.fastsim import fastsim_enabled
-from repro.hardware.platform import Platform, RunExecution
+from repro.hardware.platform import Platform, RunBatch, RunExecution
 from repro.hardware.pmu import EventSet
-from repro.seeding import SeedHasher, derive_rng, rng_from_state_words
-from repro.tracing.otf2 import MetricStream, Trace
+from repro.seeding import derive_rng, rng_from_state_words
+from repro.tracing.otf2 import MetricDef, MetricStream, Trace
 from repro.tracing.plugins import ApapiPlugin, MetricPlugin, PowerPlugin, VoltagePlugin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults → tracing)
     from repro.faults.injector import FaultInjector
 
-__all__ = ["ScorePTracer", "trace_run", "trace_multiplexed_run"]
+__all__ = [
+    "ScorePTracer",
+    "RunSamples",
+    "record_runs",
+    "trace_run",
+    "trace_multiplexed_run",
+]
 
 #: Shared sample-grid cache of the fast recording path, keyed by the
 #: run's phase timings and the sampling interval.  Grids are a pure
 #: function of the key, and the cached arrays are read-only, so every
-#: trace of every event-set run of an experiment reuses one times
-#: array (which also lets profile extraction reuse its window bounds).
+#: event-set run of an experiment samples on one times array.
 _GRID_CACHE: dict = {}
 _GRID_CACHE_CAPACITY = 512
 
 
-def _sample_grids(phases, dt: float):
+def _sample_grids(bounds: Tuple[Tuple[float, float], ...], dt: float):
     """Per-phase sample grids and their concatenation, cached.
 
-    Sample times are a pure function of the phase timings and the
-    sampling interval — identical across every event-set run of an
-    experiment — so the arrays are computed once, frozen, and shared
-    between traces.  (Trace consumers never write times in place; the
-    fault injector copies before corrupting.)
+    Sample times are a pure function of the phase ``(start, end)``
+    bounds and the sampling interval — identical across every
+    event-set run of an experiment — so the arrays are computed once,
+    frozen, and shared between batches and traces.  (Trace consumers
+    never write times in place; the fault injector copies before
+    corrupting.)
     """
-    key = (tuple((p.start_s, p.end_s) for p in phases), dt)
+    key = (bounds, dt)
     cached = _GRID_CACHE.get(key)
     if cached is not None:
         return cached
     grids = []
-    for phase in phases:
-        n = max(int(np.floor(phase.duration_s / dt)), 1)
-        sample_times = phase.start_s + dt * np.arange(1, n + 1)
-        sample_times = sample_times[sample_times <= phase.end_s + 1e-9]
+    for start_s, end_s in bounds:
+        n = max(int(np.floor((end_s - start_s) / dt)), 1)
+        sample_times = start_s + dt * np.arange(1, n + 1)
+        sample_times = sample_times[sample_times <= end_s + 1e-9]
         if sample_times.size == 0:
-            sample_times = np.array([phase.end_s])
+            sample_times = np.array([end_s])
         sample_times.setflags(write=False)
         grids.append(sample_times)
     shared_times = np.concatenate(grids) if grids else np.array([])
@@ -61,6 +68,104 @@ def _sample_grids(phases, dt: float):
         _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
     _GRID_CACHE[key] = (tuple(grids), shared_times)
     return _GRID_CACHE[key]
+
+
+@dataclass(frozen=True)
+class RunSamples:
+    """Every metric sample of a batch of runs, on one shared grid.
+
+    ``values`` holds one row per (run, metric) and one column per
+    sample time in ``times``; ``layout[i]`` lists run ``i``'s
+    ``(definition, row)`` pairs in trace metric order.  Phase-profile
+    extraction reads the block directly
+    (:func:`repro.tracing.phases.profile_runs`); :meth:`trace` builds
+    the :class:`~repro.tracing.otf2.Trace` of one run for consumers
+    that need one.
+    """
+
+    batch: RunBatch
+    times: np.ndarray
+    values: np.ndarray
+    layout: Tuple[Tuple[Tuple[MetricDef, int], ...], ...]
+
+    def trace(self, i: int) -> Trace:
+        """The trace of run ``i``; its streams view rows of ``values``
+        and share the one ``times`` array."""
+        batch = self.batch
+        trace = Trace(
+            meta={
+                "workload": batch.workload_name,
+                "suite": batch.suite,
+                "frequency_mhz": batch.op.frequency_mhz,
+                "threads": batch.threads,
+                "run_index": batch.run_indices[i],
+            }
+        )
+        for spec, (start_s, end_s) in zip(batch.specs, batch.bounds):
+            trace.record_enter(spec.name, start_s, spec.active_threads)
+            trace.record_leave(spec.name, end_s, spec.active_threads)
+        # Metric names are unique per tracer (checked in ScorePTracer),
+        # so streams go straight into trace.metrics in layout order.
+        metrics = trace.metrics
+        for mdef, row in self.layout[i]:
+            metrics[mdef.name] = MetricStream.trusted(
+                mdef, self.times, self.values[row]
+            )
+        return trace
+
+
+def record_runs(batch: RunBatch, tracers: Sequence["ScorePTracer"]) -> RunSamples:
+    """Record every run of ``batch`` in one pass: the experiment
+    kernel's tracing stage.
+
+    ``tracers[i]`` records run ``i``.  All tracers must carry the same
+    plugin types in the same order and one sampling interval (the
+    event-set runs of an experiment differ only in the counter plugin's
+    event set).  Every plugin position is sampled for all runs at once
+    through its class's
+    :meth:`~repro.tracing.plugins.MetricPlugin.sample_runs`, drawing
+    from the per-(plugin, run, phase) generators built on the batch's
+    pre-expanded words — the streams the scalar path derives with
+    ``derive_rng``, so both paths record identical values.
+    """
+    if len(tracers) != len(batch.run_indices):
+        raise ValueError(
+            f"{len(tracers)} tracers for {len(batch.run_indices)} runs"
+        )
+    heads = tracers[0]._plugin_names
+    intervals = {tracer.sampling_interval_s for tracer in tracers}
+    if len(intervals) != 1 or any(t._plugin_names != heads for t in tracers):
+        raise ValueError("tracers of one batch must share plugin types and interval")
+    (dt,) = intervals
+    if batch.words.phase_names != tuple(spec.name for spec in batch.specs):
+        raise ValueError("batch RNG words were expanded for other phases")
+    grids, times = _sample_grids(batch.bounds, dt)
+    n_rows = sum(
+        len(defs) for tracer in tracers for defs in tracer._plugin_defs
+    )
+    values = np.empty((n_rows, times.size))
+    layout: List[List[Tuple[MetricDef, int]]] = [[] for _ in tracers]
+    row = 0
+    for j, head in enumerate(heads):
+        words = batch.words.streams.get(head)
+        if words is None:
+            raise ValueError(f"batch carries no RNG words for plugin {head!r}")
+        rngs = [[rng_from_state_words(w) for w in run_words] for run_words in words]
+        start = row
+        for i, tracer in enumerate(tracers):
+            for mdef in tracer._plugin_defs[j]:
+                layout[i].append((mdef, row))
+                row += 1
+        plugins = [tracer.plugins[j] for tracer in tracers]
+        type(plugins[0]).sample_runs(
+            plugins, batch, grids, dt, rngs, values[start:row]
+        )
+    return RunSamples(
+        batch=batch,
+        times=times,
+        values=values,
+        layout=tuple(tuple(entries) for entries in layout),
+    )
 
 
 class ScorePTracer:
@@ -93,17 +198,8 @@ class ScorePTracer:
                     raise ValueError(f"metric {mdef.name!r} provided twice")
                 self._defs[mdef.name] = mdef
             self._plugin_defs.append(defs)
-        # Constant head of every plugin's RNG key, hashed once (the
-        # per-run tail goes through SeedHasher.child in _trace_fast).
-        self._plugin_names = [type(plugin).__name__ for plugin in self.plugins]
-        self._base_hashers = [
-            SeedHasher(platform.seed, "plugin", name)
-            for name in self._plugin_names
-        ]
-        # Encoded phase-name suffixes, filled as names are first seen:
-        # every event-set run of an experiment re-derives one stream
-        # per (plugin, phase), so the byte form is worth keeping.
-        self._name_blobs: dict = {}
+        # Each plugin's RNG key head: its type name.
+        self._plugin_names = tuple(type(plugin).__name__ for plugin in self.plugins)
 
     def trace(self, run: RunExecution, *, attempt: int = 0) -> Trace:
         """Record the trace of one executed run.
@@ -117,14 +213,35 @@ class ScorePTracer:
         system under test, is what glitches.
 
         Two bit-identical recording paths exist: the scalar reference
-        below (``REPRO_FASTSIM=0``) and :meth:`_trace_fast`, which
-        shares one sample grid across streams and derives plugin RNG
-        streams incrementally (see :mod:`repro.hardware.fastsim`).
+        below (``REPRO_FASTSIM=0``) and a batch of one through
+        :func:`record_runs`, the tracing stage of the experiment kernel.
         """
         if fastsim_enabled(self.fast):
-            trace = self._trace_fast(run)
-        else:
-            trace = self._trace_scalar(run)
+            words = self.platform.expand_rng_words(
+                run.workload_name,
+                run.op.frequency_mhz,
+                run.threads,
+                (run.run_index,),
+                tuple(pe.phase.name for pe in run.phases),
+                self._plugin_names,
+            )
+            samples = record_runs(RunBatch.of(run, words), [self])
+            return self.trace_recorded(samples, 0, attempt=attempt)
+        return self._corrupt(self._trace_scalar(run), attempt)
+
+    def trace_recorded(
+        self, samples: RunSamples, i: int, *, attempt: int = 0
+    ) -> Trace:
+        """The trace of run ``i`` of a :func:`record_runs` pass in which
+        this tracer recorded that run, fault injection included.
+
+        A run's samples are a pure function of the run, so one
+        recording serves every retry attempt: the injector's
+        corruptions are keyed per attempt and applied to a copy.
+        """
+        return self._corrupt(samples.trace(i), attempt)
+
+    def _corrupt(self, trace: Trace, attempt: int) -> Trace:
         if self.fault_injector is not None:
             trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
         return trace
@@ -197,108 +314,6 @@ class ScorePTracer:
             trace.add_metric_stream(
                 MetricStream(definition=mdef, times_s=times, values=values)
             )
-        return trace
-
-    def _trace_fast(self, run: RunExecution) -> Trace:
-        """Batched recording path, bit-identical to :meth:`_trace_scalar`.
-
-        Every plugin samples the same per-phase grid, so all metric
-        streams of a trace share ONE concatenated times array (also
-        what lets :func:`repro.tracing.phases.profile_trace` reuse its
-        window bounds across streams).  Per-plugin RNG streams come
-        from a :class:`~repro.seeding.SeedHasher` holding the hashed
-        run prefix — the derived seeds equal ``derive_seed`` on the
-        full key by construction, so every draw matches the scalar
-        path.
-        """
-        trace = Trace(
-            meta={
-                "workload": run.workload_name,
-                "suite": run.suite,
-                "frequency_mhz": run.op.frequency_mhz,
-                "threads": run.threads,
-                "run_index": run.run_index,
-            }
-        )
-        dt = self.sampling_interval_s
-        phases = run.phases
-        for phase in phases:
-            trace.record_enter(
-                phase.phase.name, phase.start_s, phase.phase.active_threads
-            )
-            trace.record_leave(
-                phase.phase.name, phase.end_s, phase.phase.active_threads
-            )
-        grids, shared_times = _sample_grids(phases, dt)
-        shape = shared_times.shape
-
-        # A primed platform (Platform.prime_rng_words) already expanded
-        # every stream seed of this run to PCG64 state words; the entry
-        # replays them in phase order — guarded by the phase-name
-        # tuple — and skips per-stream hashing and SeedSequence
-        # entirely, yielding the very generators a cold construction
-        # would.  Cold tracers take the incremental-hasher path: the
-        # run suffix and phase names are hashed by every plugin, so
-        # each is encoded once (phase-name byte forms persist across
-        # the event-set runs re-deriving the same streams).
-        plugin_names = self._plugin_names
-        names = [phase.phase.name for phase in phases]
-        entry = self.platform._rng_words.get(
-            (run.workload_name, run.op.frequency_mhz,
-             run.threads, run.run_index)
-        )
-        if entry is not None and entry.get("phases") != tuple(names):
-            entry = None
-        run_blob = None
-        phase_blobs = None
-        if entry is None or not all(p in entry for p in plugin_names):
-            run_blob = SeedHasher.encode(
-                run.workload_name, run.op.frequency_mhz,
-                run.threads, run.run_index,
-            )
-            name_blobs = self._name_blobs
-            phase_blobs = []
-            for name in names:
-                blob = name_blobs.get(name)
-                if blob is None:
-                    if len(name_blobs) >= 4096:
-                        name_blobs.clear()
-                    name_blobs[name] = blob = SeedHasher.encode(name)
-                phase_blobs.append(blob)
-
-        # Metric names are unique across plugins (checked in __init__),
-        # so streams go straight into trace.metrics in definition order.
-        metrics = trace.metrics
-        for plugin, pname, base, defs in zip(
-            self.plugins, plugin_names, self._base_hashers, self._plugin_defs
-        ):
-            words = entry.get(pname) if entry is not None else None
-            if words is not None:
-                rngs = [rng_from_state_words(w) for w in words]
-            else:
-                hasher = base.child_encoded(run_blob)
-                rngs = [hasher.rng_encoded(blob) for blob in phase_blobs]
-            sampled = plugin.sample_run(run, phases, grids, dt, rngs)
-            for mdef in defs:
-                values = sampled.pop(mdef.name, None)
-                if values is None:
-                    empty = np.array([])
-                    metrics[mdef.name] = MetricStream.trusted(
-                        mdef, empty, empty
-                    )
-                    continue
-                if values.shape != shape:
-                    raise ValueError(
-                        f"metric {mdef.name!r} not sampled on the shared grid"
-                    )
-                metrics[mdef.name] = MetricStream.trusted(
-                    mdef, shared_times, values
-                )
-            if sampled:
-                raise ValueError(
-                    f"plugin produced undeclared metric "
-                    f"{next(iter(sampled))!r}"
-                )
         return trace
 
 

@@ -125,30 +125,72 @@ class TestVectorizedSampling:
                 )
                 assert vec == ref
 
+    @staticmethod
+    def _reference_total(array, truth, n, interval_s, rng):
+        """The per-channel reference loop of one (run, phase) stream."""
+        ref = np.zeros(n)
+        for s, p in zip(array.sensors, truth):
+            raw = max(int(round(interval_s * s.sample_rate_hz)), 1)
+            mean = p * s.calibration.gain + s.calibration.offset_w
+            ref += mean + rng.normal(0.0, s.noise_sigma_w / np.sqrt(raw), size=n)
+        return ref
+
     def test_sample_node_total_matches_per_channel_draws(self):
         array = self._array(np.random.default_rng(11))
         truth = (60.0, 75.0)
         interval_s = 0.1
         for n in (1, 7, 64):
             for seed in range(5):
-                vec = array.sample_node_total(
-                    truth, n, interval_s, np.random.default_rng(seed)
+                out = np.empty((1, n))
+                array.sample_node_totals(
+                    np.array([[truth]]),
+                    [n],
+                    interval_s,
+                    [[np.random.default_rng(seed)]],
+                    out,
                 )
-                rng = np.random.default_rng(seed)
-                ref = np.zeros(n)
-                for s, p in zip(array.sensors, truth):
-                    raw = max(int(round(interval_s * s.sample_rate_hz)), 1)
-                    mean = p * s.calibration.gain + s.calibration.offset_w
-                    ref += mean + rng.normal(
-                        0.0, s.noise_sigma_w / np.sqrt(raw), size=n
-                    )
-                assert np.array_equal(vec, ref)
+                ref = self._reference_total(
+                    array, truth, n, interval_s, np.random.default_rng(seed)
+                )
+                assert np.array_equal(out[0], ref)
+
+    def test_sample_node_totals_stacks_runs_and_phases(self):
+        # Every (run, phase) segment of the stacked block equals its
+        # own reference loop on its own stream.
+        array = self._array(np.random.default_rng(11))
+        socket_w = np.array(
+            [[[60.0, 75.0], [91.5, 88.25], [40.0, 41.0]],
+             [[61.0, 74.0], [90.5, 89.25], [39.0, 42.0]]]
+        )
+        sizes = [3, 9, 1]
+        seeds = [[10, 11, 12], [20, 21, 22]]
+        out = np.empty((2, sum(sizes)))
+        array.sample_node_totals(
+            socket_w,
+            sizes,
+            0.1,
+            [[np.random.default_rng(s) for s in run] for run in seeds],
+            out,
+        )
+        for i, run_seeds in enumerate(seeds):
+            pos = 0
+            for p, (n, seed) in enumerate(zip(sizes, run_seeds)):
+                ref = self._reference_total(
+                    array, tuple(socket_w[i, p]), n, 0.1, np.random.default_rng(seed)
+                )
+                assert np.array_equal(out[i, pos : pos + n], ref)
+                pos += n
 
     def test_scale_cache_reused_across_calls(self):
         array = self._array(np.random.default_rng(3))
-        array.sample_node_total((50.0, 50.0), 4, 0.1, np.random.default_rng(0))
+        out = np.empty((1, 4))
+        array.sample_node_totals(
+            np.array([[[50.0, 50.0]]]), [4], 0.1, [[np.random.default_rng(0)]], out
+        )
         first = array._scale_cache[0.1]
-        array.sample_node_total((51.0, 52.0), 4, 0.1, np.random.default_rng(1))
+        array.sample_node_totals(
+            np.array([[[51.0, 52.0]]]), [4], 0.1, [[np.random.default_rng(1)]], out
+        )
         assert array._scale_cache[0.1] is first
         assert len(array._scale_cache) == 1
 
@@ -162,4 +204,10 @@ class TestVectorizedSampling:
     def test_sample_node_total_channel_mismatch(self):
         array = self._array(np.random.default_rng(5))
         with pytest.raises(ValueError):
-            array.sample_node_total((50.0,), 4, 0.1, np.random.default_rng(0))
+            array.sample_node_totals(
+                np.array([[[50.0]]]),
+                [4],
+                0.1,
+                [[np.random.default_rng(0)]],
+                np.empty((1, 4)),
+            )
