@@ -9,7 +9,11 @@ execute → trace → profile path has to reproduce them exactly:
 * the ``PhaseProfile`` lists of sampled cells: a roco2 single-phase
   kernel, a SPEC multi-phase benchmark, the 6-event last event set and
   a time-division multiplexed run;
-* a small process-backend campaign across several thread counts.
+* a small process-backend campaign across several thread counts;
+* the resilient paths: the degraded chaos campaign of
+  ``tests/integration/test_chaos_workflow.py`` at three chaos seeds and
+  a campaign whose platform kills one cell (retried, then quarantined)
+  — dataset and report, wall time excluded.
 
 The digests hold under ``REPRO_FASTSIM=0`` and ``REPRO_PARALLEL`` too:
 every acquisition path must produce the same bytes.
@@ -17,13 +21,21 @@ every acquisition path must produce the same bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from repro.acquisition import Campaign, CampaignPlan, run_campaign
-from repro.hardware import Platform
+from repro.acquisition import (
+    Campaign,
+    CampaignPlan,
+    ResilientCampaign,
+    run_campaign,
+    run_resilient_campaign,
+)
+from repro.faults import FaultPlan, FaultyPlatform
+from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS, Platform
 from repro.hardware.dvfs import PAPER_FREQUENCIES_MHZ
 from repro.workloads import get_workload
 from repro.workloads.registry import all_workloads
@@ -65,6 +77,14 @@ def profiles_digest(profiles) -> str:
             h.update(f"\x02{name}={float(rate).hex()}".encode())
         h.update(b"\x01")
     return h.hexdigest()
+
+
+def report_digest(report) -> str:
+    """SHA-256 over a ``CampaignReport``'s repr, wall time excluded
+    (``timing`` legitimately differs between runs and backends)."""
+    return hashlib.sha256(
+        repr(dataclasses.replace(report, timing=None)).encode()
+    ).hexdigest()
 
 
 #: full paper campaign (all workloads x 5 DVFS states) per root seed.
@@ -156,3 +176,67 @@ def test_process_backend_campaign():
         max_workers=2,
     )
     assert dataset_digest(ds) == PROCESS_DIGEST
+
+
+#: The degraded chaos campaign per chaos seed: (dataset, report).
+CHAOS_DIGESTS = {
+    0: (
+        "5b18efbd8500d1ec8fcf27650bece01385c1677998ad7dcbdc63fd3c71722b19",
+        "0af50dc86229858f3c7fffa6d2bde07516ce9958f718618e9a237c406127b3ef",
+    ),
+    1: (
+        "11a5a62c413847666f96fe5b8278eb069bc5f3bb626ebd12505055ee5cfa87e9",
+        "bb3612bb3698894c24bb5d66b2835737a60034d6f22c499a3ebb805574236920",
+    ),
+    2: (
+        "a9b8b9f8f9d58cbbeaf7a604cbe746e35791391b5ab0148964c99accd72d89df",
+        "f8a1d7be17f9dfb1dda179406d267d42a217a32b78183ac155742e207e8b278a",
+    ),
+}
+
+#: The killed-cell campaign: (dataset, report).
+QUARANTINE_DIGESTS = (
+    "e3d9d3c93087f09aaf8c4f486f6016d3c947e169aa9dcee92890a42600ba4f0b",
+    "cb9fe2d09ef7521ec2bf6cd4c88be2ab6351811fac58592c73edc36bdf53a83e",
+)
+
+
+def chaos_campaign(chaos_seed, **kwargs):
+    """The degraded campaign of the chaos workflow: 2 PMU event sets,
+    a quarter of the fault budget on at every site."""
+    prog = tuple(c for c in COUNTER_NAMES if c not in FIXED_COUNTERS)[:8]
+    return run_resilient_campaign(
+        Platform(seed=20170529),
+        [get_workload(w) for w in ("compute", "memory_read", "memory_write", "idle")],
+        (1200, 2400),
+        events=tuple(FIXED_COUNTERS) + prog,
+        thread_counts=(1, 8, 24),
+        faults=FaultPlan.chaos(0.25, fault_seed=chaos_seed),
+        **kwargs,
+    )
+
+
+def quarantine_campaign(**kwargs):
+    """A campaign whose platform crashes one cell on every attempt."""
+    prog = tuple(c for c in COUNTER_NAMES if c not in FIXED_COUNTERS)[:12]
+    plan = CampaignPlan(
+        workloads=(get_workload("compute"), get_workload("idle")),
+        frequencies_mhz=(2400,),
+        events=tuple(FIXED_COUNTERS) + prog,
+        thread_counts_override=(8,),
+    )
+    faulty = FaultyPlatform(Platform(), FaultPlan(kill_cells=("compute:2400:8:1",)))
+    return ResilientCampaign(faulty, plan, **kwargs).run()
+
+
+def result_digests(result):
+    return dataset_digest(result.dataset), report_digest(result.report)
+
+
+@pytest.mark.parametrize("chaos_seed", sorted(CHAOS_DIGESTS))
+def test_chaos_campaign(chaos_seed):
+    assert result_digests(chaos_campaign(chaos_seed)) == CHAOS_DIGESTS[chaos_seed]
+
+
+def test_quarantine_campaign():
+    assert result_digests(quarantine_campaign()) == QUARANTINE_DIGESTS
