@@ -7,9 +7,10 @@ event-set runs) and asserts the acceptance gate: the fast path must
 clear ≥3× campaign throughput over the scalar path, while producing a
 byte-identical dataset.
 
-The scalar leg (``REPRO_FASTSIM=0``) replays the pre-vectorization
-acquisition loop — one ``evaluate``/``compute_power`` call per phase
-per run, one sampled grid per metric stream — so the ``before_*`` /
+The scalar leg (:func:`repro.acquisition.reference.acquire_reference`)
+replays the pre-vectorization acquisition loop — one
+``evaluate``/``compute_power`` call per phase per run, one sampled grid
+per metric stream, a fresh tracer per cell — so the ``before_*`` /
 ``after_*`` rows keep the optimization's trajectory measurable in CI,
 the same before/after contract ``BENCH_parallel.json`` records for the
 arena.  The fast leg is the experiment kernel: one pass executes,
@@ -24,16 +25,15 @@ file directly and uploads the JSON artifact.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.acquisition import Campaign, CampaignPlan
+from repro.acquisition.reference import acquire_reference
 from repro.hardware import Platform
 from repro.hardware.dvfs import PAPER_FREQUENCIES_MHZ
-from repro.hardware.fastsim import FASTSIM_ENV
 from repro.io.atomic import atomic_write_json
 from repro.workloads.registry import all_workloads
 
@@ -72,8 +72,14 @@ def paper_plan() -> CampaignPlan:
     )
 
 
-def best_of(reps: int, plan: CampaignPlan):
-    """Minimum CPU time over ``reps`` fresh-platform campaign runs.
+def run_kernel(platform: Platform, plan: CampaignPlan):
+    """The pipeline's acquisition: the experiment kernel."""
+    return Campaign(platform, plan).run()
+
+
+def best_of(reps: int, plan: CampaignPlan, acquire=run_kernel):
+    """Minimum CPU time over ``reps`` fresh-platform runs of
+    ``acquire(platform, plan)``.
 
     ``time.process_time`` ignores scheduler preemption and sleeps;
     min-of-N discards reps that caught a GC pause or a thermal dip.
@@ -85,7 +91,7 @@ def best_of(reps: int, plan: CampaignPlan):
     for _ in range(reps):
         platform = Platform()
         t0 = time.process_time()
-        dataset = Campaign(platform, plan).run()
+        dataset = acquire(platform, plan)
         elapsed = time.process_time() - t0
         best_s = min(best_s, elapsed)
     return best_s, dataset, platform
@@ -94,12 +100,8 @@ def best_of(reps: int, plan: CampaignPlan):
 def test_bench_acquisition_kernel():
     n_cells = len(Campaign(Platform(), table1_plan()).cells())
 
-    # -- before: the scalar reference path (REPRO_FASTSIM=0) ------------
-    os.environ[FASTSIM_ENV] = "0"
-    try:
-        scalar_s, scalar_ds, _ = best_of(REPS, table1_plan())
-    finally:
-        del os.environ[FASTSIM_ENV]
+    # -- before: the scalar reference oracle ----------------------------
+    scalar_s, scalar_ds, _ = best_of(REPS, table1_plan(), acquire_reference)
 
     # -- after: the experiment kernel + phase-state memo ----------------
     fast_s, fast_ds, fast_platform = best_of(REPS, table1_plan())
@@ -142,8 +144,9 @@ def test_bench_acquisition_kernel():
         "trajectory": {
             "note": (
                 "table1 shape unless named: scalar_s replays the "
-                "pre-vectorization loop (REPRO_FASTSIM=0, per-phase "
-                "evaluate/compute_power, per-stream sampling grids); the "
+                "pre-vectorization loop (acquire_reference, the scalar "
+                "oracle: per-phase evaluate/compute_power, per-stream "
+                "sampling grids, a fresh tracer per cell); the "
                 "per-run kernel (batched phases, shared-grid tracer, "
                 "campaign-primed RNG words, one cell per work item) is "
                 "its recorded value, not re-measured; the experiment "

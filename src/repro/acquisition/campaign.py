@@ -59,7 +59,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import validate_profiles, validate_trace
 from repro.hardware.counters import COUNTER_NAMES
-from repro.hardware.fastsim import fastsim_enabled
 from repro.hardware.platform import Platform, RunExecution
 from repro.hardware.pmu import EventSet, schedule_events
 from repro.parallel import StageTimer, TimingReport, resolve_executor
@@ -216,18 +215,11 @@ class Campaign:
         return state
 
     def _cell_tracer(self, cell: "CampaignCell") -> ScorePTracer:
-        """The tracer for a cell's counter group, cached per event set.
-
-        Caching rides the fastsim switch: under ``REPRO_FASTSIM=0``
-        every cell rebuilds its tracer and plugins, as the original
-        per-cell acquisition loop did.
-        """
+        """The tracer for a cell's counter group, cached per event set."""
         key = None if cell.event_set is None else cell.run_index
-        use_cache = fastsim_enabled(None)
-        if use_cache:
-            tracer = self._tracer_cache.get(key)
-            if tracer is not None:
-                return tracer
+        tracer = self._tracer_cache.get(key)
+        if tracer is not None:
+            return tracer
         if cell.event_set is None:
             counter_plugin: Any = MultiplexedApapiPlugin(
                 self.platform, self.plan.events
@@ -243,25 +235,19 @@ class Campaign:
             ],
             sampling_interval_s=self.plan.sampling_interval_s,
             fault_injector=getattr(self, "injector", None),
-            # A cached tracer only ever serves the fast path (the cache
-            # is bypassed under REPRO_FASTSIM=0), so pin the mode and
-            # spare every trace an environment lookup.
-            fast=True if use_cache else None,
         )
-        if use_cache:
-            self._tracer_cache[key] = tracer
+        self._tracer_cache[key] = tracer
         return tracer
 
     def _prime_skeletons(self) -> None:
         """Warm the run skeletons of every experiment in one batched
         build (a pure cache warm-up: outputs are unchanged).
 
-        Skipped under ``REPRO_FASTSIM=0``, where the scalar loop
-        replays per-cell builds, and on the process backend: workers
-        unpickle the platform without its memos, so a parent-side
-        warm-up would be thrown away.
+        Skipped on the process backend: workers unpickle the platform
+        without its memos, so a parent-side warm-up would be thrown
+        away.
         """
-        if fastsim_enabled(None) and self.executor.kind != "process":
+        if self.executor.kind != "process":
             self.platform.prime_run_skeletons(self.plan.experiments())
 
     @property
@@ -320,20 +306,12 @@ class Campaign:
         aggregation both the HAEC-SIM module (roco2 traces) and the
         custom OTF2 post-processing tool (benchmark traces) perform
         (Section III-A).  Returns each cell's profiles, in cell order.
-
-        Under ``REPRO_FASTSIM=0`` each cell runs the scalar reference
-        chain instead: execute, trace, profile, one cell at a time.
         """
         head = cells[0]
         if any(cell.key[:3] != head.key[:3] for cell in cells):
             raise ValueError(
                 "an experiment's cells share workload, frequency and threads"
             )
-        if not fastsim_enabled(None):
-            return [
-                _trace_profiles(self._trace_cell(cell, phases=phases)[1])
-                for cell in cells
-            ]
         return profile_runs(self._record_cells(cells, phases=phases))
 
     def _trace_cell(
@@ -350,20 +328,10 @@ class Campaign:
         ``recorded`` is the cell's row of an experiment pass
         (:meth:`_record_cells`); without it the cell is recorded as a
         batch of one — one RNG-word expansion covers the run's jitter
-        and every metric stream — or, under ``REPRO_FASTSIM=0``, runs
-        the scalar reference chain.
+        and every metric stream.
         """
         tracer = self._cell_tracer(cell)
         if recorded is None:
-            if not fastsim_enabled(None):
-                run = self.platform.execute(
-                    cell.workload,
-                    cell.frequency_mhz,
-                    cell.threads,
-                    run_index=cell.run_index,
-                    phases=phases,
-                )
-                return run, tracer.trace(run, attempt=attempt)
             recorded = (self._record_cells([cell], phases=phases), 0)
         samples, i = recorded
         return samples.batch.run(i), tracer.trace_recorded(samples, i, attempt=attempt)
@@ -805,8 +773,6 @@ class ResilientCampaign(Campaign):
     def _run_experiment(self, cells: Sequence[CampaignCell]) -> List[_CellOutcome]:
         """One work item: cells of one experiment, recorded in one
         kernel pass, each then run under the retry policy."""
-        if not fastsim_enabled(None):
-            return [self.run_cell(cell) for cell in cells]
         return [
             self._run_cell(cell, recorded)
             for cell, recorded in zip(cells, self._record_stretch(cells))
@@ -832,7 +798,6 @@ class ResilientCampaign(Campaign):
             for stretch in _experiment_stretches(cells, range(len(cells)))
             for i in stretch
         }
-        use_fast = fastsim_enabled(None)
         for i, cell in enumerate(cells):
             cid = cell_id(*cell.key, self.plan.events)
             _call_progress(
@@ -844,7 +809,7 @@ class ResilientCampaign(Campaign):
                     outcomes.append(None)
                     resumed[i] = stored
                     continue
-            if use_fast and i not in recorded:
+            if i not in recorded:
                 rest = [j for j in stretch_of[i] if j >= i]
                 rows = self._record_stretch([cells[j] for j in rest])
                 recorded.update(zip(rest, rows))

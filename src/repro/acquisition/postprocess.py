@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.acquisition.dataset import PowerDataset
 from repro.hardware.counters import COUNTER_NAMES
-from repro.hardware.fastsim import fastsim_enabled
 from repro.tracing.phases import PhaseProfile
 
 __all__ = [
@@ -179,15 +178,13 @@ def merge_runs(
                     f"affected phases lack those runs' counter rates",
                 )
 
-    use_fast = fastsim_enabled(None)
     for key, merged in buckets.items():
         for counter, values in counter_acc[key].items():
-            if use_fast and len(values) == 1:
+            if len(values) == 1:
                 # Mean of one sample is the sample: programmable
                 # counters appear in exactly one event-set run, and
                 # skipping the ndarray round-trip here removes the
-                # dominant per-counter cost of a merge.  Gated so
-                # REPRO_FASTSIM=0 replays the original loop verbatim.
+                # dominant per-counter cost of a merge.
                 merged.counter_rates_per_s[counter] = values[0]
                 continue
             arr = np.asarray(values)

@@ -325,7 +325,6 @@ class FaultyPlatform(Platform):
         *,
         run_index=0,
         attempt=0,
-        fast=None,
         phases=None,
     ):
         """Execute with fault checks; raises :class:`RunFailure` when
@@ -338,7 +337,6 @@ class FaultyPlatform(Platform):
             frequency_mhz,
             threads,
             run_index=run_index,
-            fast=fast,
             phases=phases,
         )
 

@@ -23,14 +23,13 @@ import numpy as np
 from repro.hardware.config import HASWELL_EP_CONFIG, PlatformConfig
 from repro.hardware.counters import COUNTER_NAMES, counter_index
 from repro.hardware.dvfs import OperatingPoint
-from repro.hardware.fastsim import PhaseStateMemo, fastsim_enabled, simulate_phases
-from repro.hardware.microarch import MicroarchState, evaluate
+from repro.hardware.fastsim import PhaseStateMemo, simulate_phases
+from repro.hardware.microarch import MicroarchState
 from repro.hardware.pmu import PMU
 from repro.hardware.power import (
     HASWELL_EP_POWER_PARAMS,
     PowerBreakdown,
     PowerModelParams,
-    compute_power,
 )
 from repro.hardware.sensors import SensorArray
 from repro.hardware.voltage import VoltageTelemetry
@@ -49,18 +48,6 @@ __all__ = ["PhaseExecution", "RunExecution", "RunWords", "RunBatch", "Platform"]
 #: pinned by the fixed frequency and wall time.
 _JITTER_EXEMPT = ("TOT_CYC", "REF_CYC")
 
-
-def _jitter_mask() -> np.ndarray:
-    """Boolean mask selecting the jitter-affected counters (cached)."""
-    mask = np.ones(len(COUNTER_NAMES), dtype=bool)
-    for name in _JITTER_EXEMPT:
-        mask[counter_index(name)] = False
-    mask.setflags(write=False)
-    return mask
-
-
-_JITTER_MASK = _jitter_mask()
-
 #: Integer column indices of the exempt counters (batch applicator).
 _EXEMPT_IDX = np.array(
     [counter_index(name) for name in _JITTER_EXEMPT], dtype=np.intp
@@ -76,7 +63,7 @@ class _RunSkeleton:
     rates, hidden activities, base power breakdowns, true voltages and
     phase timings.  A campaign re-executes each experiment once per
     event set; only the three run-level jitter draws differ, so the
-    skeleton is computed once and replayed (fast path only).
+    skeleton is computed once and replayed.
     """
 
     specs: Tuple[PhaseSpec, ...]
@@ -276,8 +263,8 @@ class Platform:
         self._reset_seed_hashers()
 
     def _reset_seed_hashers(self) -> None:
-        """Pre-hashed RNG key heads of the fast path (hash objects do
-        not pickle, so workers rebuild them)."""
+        """Pre-hashed RNG key heads of the experiment kernel (hash
+        objects do not pickle, so workers rebuild them)."""
         # Head of every per-run jitter key, and of each plugin type's
         # per-phase stream keys (filled as plugin names are first seen).
         self._run_hasher = SeedHasher(self.seed, "run")
@@ -311,7 +298,6 @@ class Platform:
         threads: int,
         *,
         run_index: int = 0,
-        fast: Optional[bool] = None,
         phases: Optional[Sequence[PhaseSpec]] = None,
     ) -> RunExecution:
         """Execute a workload at a pinned frequency and thread count.
@@ -321,83 +307,17 @@ class Platform:
         Run-to-run variation is modelled as a coherent multiplicative
         jitter on activity rates with a correlated power jitter.
 
-        ``fast`` selects the batched+memoized kernel (default: the
-        ``REPRO_FASTSIM`` resolution of
-        :func:`~repro.hardware.fastsim.fastsim_enabled`); both paths
-        are bit-identical.  ``phases`` lets callers that re-execute the
+        A batch of one through the experiment kernel, the shared
+        implementation of :meth:`execute_runs` (subclasses hooking
+        ``execute_runs``, such as the fault injector's
+        ``FaultyPlatform``, hook ``execute`` too and must not see a
+        single run twice).  ``phases`` lets callers that re-execute the
         same cell (retry loops) pass a pre-derived phase list instead
         of re-deriving it from the workload every attempt.
         """
-        if fastsim_enabled(fast):
-            # A batch of one through the experiment kernel (its shared
-            # implementation: subclasses hooking execute_runs, such as
-            # the fault injector's FaultyPlatform, hook execute too and
-            # must not see a single run twice).
-            return self._stack_runs(
-                workload, frequency_mhz, threads, (run_index,), phases, ()
-            ).run(0)
-        workload.validate_threads(threads, self.cfg.total_cores)
-        op = self.cfg.curve.operating_point(frequency_mhz)
-        specs = tuple(phases) if phases is not None else tuple(workload.phases(threads))
-        rng = derive_rng(
-            self.seed, "run", workload.name, frequency_mhz, threads, run_index
-        )
-        jitter = 1.0 + float(rng.normal(0.0, self.run_jitter_sigma))
-        power_jitter = (
-            1.0
-            + 0.6 * (jitter - 1.0)
-            + float(rng.normal(0.0, self.power_jitter_sigma))
-        )
-        power_offset = float(rng.normal(0.0, self.power_offset_sigma_w))
-        # Run-level absolute power offset: OS housekeeping, fan state,
-        # VR operating-point differences.  Dominates *relative* error at
-        # the low end of the power range.
-        per_socket_offset = power_offset / self.cfg.sockets
-
-        executions: List[PhaseExecution] = []
-        states = [
-            self._apply_jitter(
-                evaluate(spec.characterization, op, spec.active_threads, self.cfg),
-                jitter,
-            )
-            for spec in specs
-        ]
-        t = 0.0
-        for spec, state in zip(specs, states):
-            breakdown = compute_power(state.hidden, op, self.cfg, self.power_params)
-            breakdown = PowerBreakdown(
-                per_socket_w=tuple(
-                    max(p * power_jitter + per_socket_offset, 0.0)
-                    for p in breakdown.per_socket_w
-                ),
-                dynamic_core_w=breakdown.dynamic_core_w,
-                uncore_w=breakdown.uncore_w,
-                static_w=breakdown.static_w,
-                board_w=breakdown.board_w,
-                temperature_c=breakdown.temperature_c,
-            )
-            true_v = self.voltage.true_voltage(op, spec.active_threads)
-            executions.append(
-                PhaseExecution(
-                    phase=spec,
-                    start_s=t,
-                    end_s=t + spec.duration_s,
-                    state=state,
-                    power_breakdown=breakdown,
-                    true_voltage_v=true_v,
-                )
-            )
-            t += spec.duration_s
-
-        return RunExecution(
-            workload_name=workload.name,
-            suite=workload.suite,
-            op=op,
-            threads=threads,
-            run_index=run_index,
-            phases=tuple(executions),
-            seed=self.seed,
-        )
+        return self._stack_runs(
+            workload, frequency_mhz, threads, (run_index,), phases, ()
+        ).run(0)
 
     # ------------------------------------------------------------------
     def execute_runs(
@@ -418,8 +338,9 @@ class Platform:
         ``streams`` — are expanded in one
         :func:`~repro.seeding.seedseq_state_words` call, and the jitter
         and power scaling apply over the stacked ``(runs × phases)``
-        block.  Row ``i`` equals ``execute(..., run_index=run_indices[i])``
-        bit for bit: every element sees the scalar path's operation
+        block.  Row ``i`` equals the scalar reference
+        (:func:`~repro.acquisition.reference.execute_reference` of run
+        ``run_indices[i]``) bit for bit: every element sees its operation
         sequence (``normal(0, s)`` is ``0.0 + s*z`` on the same
         ziggurat stream, ``max(x, 0.0)`` is ``np.maximum``).
         """
@@ -436,7 +357,7 @@ class Platform:
         phases: Optional[Sequence[PhaseSpec]],
         streams: Sequence[str],
     ) -> RunBatch:
-        """:meth:`execute_runs` proper (also :meth:`execute`'s fast path)."""
+        """:meth:`execute_runs` proper (also :meth:`execute`'s body)."""
         skeleton = self._run_skeleton(workload, frequency_mhz, threads, phases)
         words = self.expand_rng_words(
             workload.name,
@@ -511,7 +432,7 @@ class Platform:
         op = self.cfg.curve.operating_point(frequency_mhz)
         derived = phases is None
         specs = tuple(workload.phases(threads)) if derived else tuple(phases)
-        pairs = self._phase_states_fast(specs, op)
+        pairs = self._phase_states(specs, op)
         if pairs:
             rates = np.stack([state.counter_rates for state, _ in pairs])
         else:
@@ -688,7 +609,7 @@ class Platform:
         )
 
     # ------------------------------------------------------------------
-    def _phase_states_fast(
+    def _phase_states(
         self, specs: Sequence[PhaseSpec], op: OperatingPoint
     ) -> List[Tuple[MicroarchState, PowerBreakdown]]:
         """Pre-jitter (state, base power) per phase via the memo.
@@ -722,13 +643,6 @@ class Platform:
                 for i in missing[key]:
                     out[i] = result
         return out  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _apply_jitter(self, state: MicroarchState, jitter: float) -> MicroarchState:
-        """Coherent run-to-run activity jitter (cycle counters exempt)."""
-        rates = state.counter_rates.copy()
-        rates[_JITTER_MASK] *= jitter
-        return MicroarchState(counter_rates=rates, hidden=state.hidden)
 
     # ------------------------------------------------------------------
     def supported_frequencies(self) -> Tuple[int, int]:

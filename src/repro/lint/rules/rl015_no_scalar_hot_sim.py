@@ -9,9 +9,10 @@ below what the 10⁵-cell regime needs.  Those call sites now go through
 answers repeats from the phase-state memo; a direct
 ``evaluate``/``compute_power`` call inside a loop of one of the
 configured ``sim-hot-modules`` would silently reintroduce the scalar
-path.  The scalar reference implementations themselves
-(``hardware/microarch.py``, ``hardware/power.py``, ``hardware/platform.py``)
-stay out of scope — they *are* the bit-identity oracle.
+path.  The scalar model itself (``hardware/microarch.py``,
+``hardware/power.py``) and the scalar acquisition chain that calls it
+per phase (``acquisition/reference.py``) stay out of scope — they *are*
+the bit-identity oracle.
 """
 
 from __future__ import annotations

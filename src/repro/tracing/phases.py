@@ -15,13 +15,11 @@ sharing one engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware.fastsim import fastsim_enabled
 from repro.tracing.otf2 import Trace
 from repro.tracing.plugins import ApapiPlugin, PowerPlugin, VoltagePlugin
 from repro.tracing.scorep import RunSamples
@@ -63,8 +61,6 @@ class PhaseProfile:
         return self.counter_rates_per_s[counter] / (self.frequency_mhz * 1e6)
 
 
-
-
 def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhaseProfile]:
     """Phase profiles of every sufficiently long region of a trace.
 
@@ -75,83 +71,41 @@ def profile_trace(trace: Trace, *, min_duration_s: float = 0.5) -> List[PhasePro
     for key in ("workload", "suite", "frequency_mhz", "threads", "run_index"):
         if key not in meta:
             raise ValueError(f"trace metadata missing {key!r}")
-    power_metric = trace.metrics.get(PowerPlugin.METRIC)
-    voltage_metric = trace.metrics.get(VoltagePlugin.METRIC)
-    if power_metric is None or voltage_metric is None:
+    if not {PowerPlugin.METRIC, VoltagePlugin.METRIC} <= trace.metrics.keys():
         raise ValueError("trace lacks power/voltage metric streams")
 
-    # The windowed-extraction fast path rides the fastsim switch:
-    # under REPRO_FASTSIM=0 extraction replays the original per-stream
-    # window_mean calls, so the escape hatch covers the whole pipeline.
-    if fastsim_enabled(None):
-        intervals = [
-            interval
-            for interval in trace.phase_intervals()
-            if interval[2] - interval[1] >= min_duration_s
-        ]
-        windows = [(start, end) for _, start, end, _ in intervals]
-        # Streams sharing one times array (identity, as the fast tracer
-        # records them) share one window_means pass; streams with their
-        # own grid — fault-truncated copies — get their own.
-        groups: Dict[int, Tuple[np.ndarray, List[str]]] = {}
-        for name, stream in trace.metrics.items():
-            groups.setdefault(id(stream.times_s), (stream.times_s, []))[1].append(name)
-        means: Dict[str, List[float]] = {}
-        for times, names in groups.values():
-            stacked = np.stack([trace.metrics[name].values for name in names])
-            means.update(zip(names, window_means(stacked, times, windows).tolist()))
-        prefix = ApapiPlugin.PREFIX
-        return _assemble_profiles(
-            str(meta["workload"]),
-            str(meta["suite"]),
-            int(meta["frequency_mhz"]),
-            int(meta["threads"]),
-            int(meta["run_index"]),
-            intervals,
-            means[PowerPlugin.METRIC],
-            means[VoltagePlugin.METRIC],
-            [
-                (name[len(prefix) :], means[name])
-                for name in trace.metrics
-                if name.startswith(prefix)
-            ],
-        )
-
-    papi_names = [
-        name
-        for name in trace.metrics
-        if name.startswith(ApapiPlugin.PREFIX)
+    intervals = [
+        interval
+        for interval in trace.phase_intervals()
+        if interval[2] - interval[1] >= min_duration_s
     ]
-    out: List[PhaseProfile] = []
-    for region, start, end, active in trace.phase_intervals():
-        if end - start < min_duration_s:
-            continue
-        p = power_metric.window_mean(start, end)
-        v = voltage_metric.window_mean(start, end)
-        if math.isnan(p) or math.isnan(v):
-            continue
-        rates = {}
-        for name in papi_names:
-            mean = trace.metrics[name].window_mean(start, end)
-            if not math.isnan(mean):
-                rates[name[len(ApapiPlugin.PREFIX) :]] = mean
-        out.append(
-            PhaseProfile(
-                workload=str(meta["workload"]),
-                suite=str(meta["suite"]),
-                frequency_mhz=int(meta["frequency_mhz"]),
-                threads=int(meta["threads"]),
-                run_index=int(meta["run_index"]),
-                phase_name=region,
-                start_s=start,
-                end_s=end,
-                active_threads=active,
-                power_w=p,
-                voltage_v=v,
-                counter_rates_per_s=rates,
-            )
-        )
-    return out
+    windows = [(start, end) for _, start, end, _ in intervals]
+    # Streams sharing one times array (identity, as the tracer records
+    # them) share one window_means pass; streams with their own grid —
+    # fault-truncated copies — get their own.
+    groups: Dict[int, Tuple[np.ndarray, List[str]]] = {}
+    for name, stream in trace.metrics.items():
+        groups.setdefault(id(stream.times_s), (stream.times_s, []))[1].append(name)
+    means: Dict[str, List[float]] = {}
+    for times, names in groups.values():
+        stacked = np.stack([trace.metrics[name].values for name in names])
+        means.update(zip(names, window_means(stacked, times, windows).tolist()))
+    prefix = ApapiPlugin.PREFIX
+    return _assemble_profiles(
+        str(meta["workload"]),
+        str(meta["suite"]),
+        int(meta["frequency_mhz"]),
+        int(meta["threads"]),
+        int(meta["run_index"]),
+        intervals,
+        means[PowerPlugin.METRIC],
+        means[VoltagePlugin.METRIC],
+        [
+            (name[len(prefix) :], means[name])
+            for name in trace.metrics
+            if name.startswith(prefix)
+        ],
+    )
 
 
 def window_means(

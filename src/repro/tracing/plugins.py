@@ -18,9 +18,9 @@ execution.  The three plugins of the paper are modelled:
 Each plugin offers two bit-identical sampling entry points:
 
 * ``sample_phase_reference`` — the original event-at-a-time loops,
-  kept verbatim as the auditable reference (the ``REPRO_FASTSIM=0``
-  recording path); ``sample_phase``, one phase on its own, is the same
-  method.
+  kept verbatim as the auditable reference (the recording path of the
+  scalar oracle, :func:`repro.acquisition.reference.trace_reference`);
+  ``sample_phase``, one phase on its own, is the same method.
 * ``sample_runs`` — a batch of runs of one experiment
   (:class:`~repro.hardware.platform.RunBatch`), one plugin per run:
   the per-(run, phase) RNG draws (the seeding contract) followed by
@@ -75,7 +75,7 @@ class MetricPlugin:
         interval_s: float,
         rng: np.random.Generator,
     ) -> Dict[str, np.ndarray]:
-        """Scalar reference sampling (``REPRO_FASTSIM=0`` path).
+        """Scalar reference sampling (the oracle's recording path).
 
         Defaults to :meth:`sample_phase`; the paper's plugins override
         it with their original loops, kept verbatim.
@@ -92,11 +92,11 @@ class MetricPlugin:
         rngs: StreamRngs,
         out: np.ndarray,
     ) -> None:
-        """Sample every run of ``batch`` into ``out`` (fast recording path).
+        """Sample every run of ``batch`` into ``out`` (kernel recording path).
 
         ``plugins[i]`` samples run ``i``; all are of this class, so they
         share one RNG key head.  ``rngs[i][p]`` is the generator of run
-        ``i``, phase ``p``, seeded exactly as the scalar path seeds it.
+        ``i``, phase ``p``, seeded exactly as the scalar oracle seeds it.
         ``out`` holds one row per (run, metric), run-major with metrics
         in :meth:`metric_defs` order, and one column per sample of the
         shared grid (``grids`` concatenated).  This default samples

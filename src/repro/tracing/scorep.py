@@ -13,10 +13,9 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hardware.fastsim import fastsim_enabled
 from repro.hardware.platform import Platform, RunBatch, RunExecution
 from repro.hardware.pmu import EventSet
-from repro.seeding import derive_rng, rng_from_state_words
+from repro.seeding import rng_from_state_words
 from repro.tracing.otf2 import MetricDef, MetricStream, Trace
 from repro.tracing.plugins import ApapiPlugin, MetricPlugin, PowerPlugin, VoltagePlugin
 
@@ -31,7 +30,7 @@ __all__ = [
     "trace_multiplexed_run",
 ]
 
-#: Shared sample-grid cache of the fast recording path, keyed by the
+#: Shared sample-grid cache of the recording path, keyed by the
 #: run's phase timings and the sampling interval.  Grids are a pure
 #: function of the key, and the cached arrays are read-only, so every
 #: event-set run of an experiment samples on one times array.
@@ -125,8 +124,9 @@ def record_runs(batch: RunBatch, tracers: Sequence["ScorePTracer"]) -> RunSample
     through its class's
     :meth:`~repro.tracing.plugins.MetricPlugin.sample_runs`, drawing
     from the per-(plugin, run, phase) generators built on the batch's
-    pre-expanded words — the streams the scalar path derives with
-    ``derive_rng``, so both paths record identical values.
+    pre-expanded words — the streams a cold ``derive_rng`` construction
+    yields, so the recording equals the scalar reference oracle
+    (:mod:`repro.acquisition.reference`) bit for bit.
     """
     if len(tracers) != len(batch.run_indices):
         raise ValueError(
@@ -178,7 +178,6 @@ class ScorePTracer:
         *,
         sampling_interval_s: float = 0.1,
         fault_injector: Optional["FaultInjector"] = None,
-        fast: Optional[bool] = None,
     ) -> None:
         if sampling_interval_s <= 0:
             raise ValueError("sampling interval must be positive")
@@ -188,7 +187,6 @@ class ScorePTracer:
         self.plugins = list(plugins)
         self.sampling_interval_s = sampling_interval_s
         self.fault_injector = fault_injector
-        self.fast = fast
         self._defs = {}
         self._plugin_defs = []
         for plugin in self.plugins:
@@ -212,22 +210,19 @@ class ScorePTracer:
         keyed by ``attempt`` — the measurement infrastructure, not the
         system under test, is what glitches.
 
-        Two bit-identical recording paths exist: the scalar reference
-        below (``REPRO_FASTSIM=0``) and a batch of one through
+        The run is recorded as a batch of one through
         :func:`record_runs`, the tracing stage of the experiment kernel.
         """
-        if fastsim_enabled(self.fast):
-            words = self.platform.expand_rng_words(
-                run.workload_name,
-                run.op.frequency_mhz,
-                run.threads,
-                (run.run_index,),
-                tuple(pe.phase.name for pe in run.phases),
-                self._plugin_names,
-            )
-            samples = record_runs(RunBatch.of(run, words), [self])
-            return self.trace_recorded(samples, 0, attempt=attempt)
-        return self._corrupt(self._trace_scalar(run), attempt)
+        words = self.platform.expand_rng_words(
+            run.workload_name,
+            run.op.frequency_mhz,
+            run.threads,
+            (run.run_index,),
+            tuple(pe.phase.name for pe in run.phases),
+            self._plugin_names,
+        )
+        samples = record_runs(RunBatch.of(run, words), [self])
+        return self.trace_recorded(samples, 0, attempt=attempt)
 
     def trace_recorded(
         self, samples: RunSamples, i: int, *, attempt: int = 0
@@ -246,76 +241,6 @@ class ScorePTracer:
             trace = self.fault_injector.corrupt_trace(trace, attempt=attempt)
         return trace
 
-    def _trace_scalar(self, run: RunExecution) -> Trace:
-        """Scalar reference recording path.
-
-        Routes sampling through each plugin's
-        ``sample_phase_reference`` — the original event-at-a-time
-        loops, kept verbatim — so ``REPRO_FASTSIM=0`` replays the
-        pre-vectorization acquisition implementation end to end.
-        """
-        trace = Trace(
-            meta={
-                "workload": run.workload_name,
-                "suite": run.suite,
-                "frequency_mhz": run.op.frequency_mhz,
-                "threads": run.threads,
-                "run_index": run.run_index,
-            }
-        )
-        dt = self.sampling_interval_s
-        # Per-metric accumulators across phases.
-        defs = self._defs
-        times_acc: dict = {name: [] for name in defs}
-        values_acc: dict = {name: [] for name in defs}
-
-        for phase in run.phases:
-            trace.record_enter(
-                phase.phase.name, phase.start_s, phase.phase.active_threads
-            )
-            # Sample grid within the phase: first tick one interval in.
-            n = max(int(np.floor(phase.duration_s / dt)), 1)
-            sample_times = phase.start_s + dt * np.arange(1, n + 1)
-            sample_times = sample_times[sample_times <= phase.end_s + 1e-9]
-            if sample_times.size == 0:
-                sample_times = np.array([phase.end_s])
-            for plugin in self.plugins:
-                rng = derive_rng(
-                    self.platform.seed,
-                    "plugin",
-                    type(plugin).__name__,
-                    run.workload_name,
-                    run.op.frequency_mhz,
-                    run.threads,
-                    run.run_index,
-                    phase.phase.name,
-                )
-                sampled = plugin.sample_phase_reference(
-                    run, phase, sample_times, dt, rng
-                )
-                for name, vals in sampled.items():
-                    if name not in defs:
-                        raise ValueError(
-                            f"plugin produced undeclared metric {name!r}"
-                        )
-                    times_acc[name].append(sample_times)
-                    values_acc[name].append(np.asarray(vals, dtype=np.float64))
-            trace.record_leave(
-                phase.phase.name, phase.end_s, phase.phase.active_threads
-            )
-
-        for name, mdef in defs.items():
-            times = (
-                np.concatenate(times_acc[name]) if times_acc[name] else np.array([])
-            )
-            values = (
-                np.concatenate(values_acc[name]) if values_acc[name] else np.array([])
-            )
-            trace.add_metric_stream(
-                MetricStream(definition=mdef, times_s=times, values=values)
-            )
-        return trace
-
 
 def trace_run(
     platform: Platform,
@@ -325,7 +250,6 @@ def trace_run(
     sampling_interval_s: float = 0.1,
     fault_injector: Optional["FaultInjector"] = None,
     attempt: int = 0,
-    fast: Optional[bool] = None,
 ) -> Trace:
     """Convenience: trace a run with the paper's three plugins."""
     tracer = ScorePTracer(
@@ -337,7 +261,6 @@ def trace_run(
         ],
         sampling_interval_s=sampling_interval_s,
         fault_injector=fault_injector,
-        fast=fast,
     )
     return tracer.trace(run, attempt=attempt)
 
@@ -350,7 +273,6 @@ def trace_multiplexed_run(
     sampling_interval_s: float = 0.1,
     fault_injector: Optional["FaultInjector"] = None,
     attempt: int = 0,
-    fast: Optional[bool] = None,
 ) -> Trace:
     """Trace a run with time-division-multiplexed counter sampling:
     all requested events from a single run (see
@@ -366,6 +288,5 @@ def trace_multiplexed_run(
         ],
         sampling_interval_s=sampling_interval_s,
         fault_injector=fault_injector,
-        fast=fast,
     )
     return tracer.trace(run, attempt=attempt)

@@ -15,8 +15,12 @@ execute → trace → profile path has to reproduce them exactly:
   a campaign whose platform kills one cell (retried, then quarantined)
   — dataset and report, wall time excluded.
 
-The digests hold under ``REPRO_FASTSIM=0`` and ``REPRO_PARALLEL`` too:
-every acquisition path must produce the same bytes.
+The digests hold under every ``REPRO_PARALLEL`` backend, and the scalar
+reference oracle (:mod:`repro.acquisition.reference`) reproduces the
+profile digests and the small campaign's dataset digest: every
+acquisition path must produce the same bytes.  The oracle does not
+replay resilient campaigns; their digests were recorded on both the
+kernel and the scalar chain before the scalar chain left the pipeline.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.acquisition import (
     run_campaign,
     run_resilient_campaign,
 )
+from repro.acquisition.reference import acquire_reference, collect_reference
 from repro.faults import FaultPlan, FaultyPlatform
 from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS, Platform
 from repro.hardware.dvfs import PAPER_FREQUENCIES_MHZ
@@ -103,13 +108,31 @@ def test_paper_campaign_dataset(seed):
     assert dataset_digest(ds) == PAPER_DIGESTS[seed]
 
 
-def _multi_run_campaign(seed=20170529):
-    plan = CampaignPlan(
+def _multi_run_plan():
+    return CampaignPlan(
         workloads=(get_workload("compute"), get_workload("md")),
         frequencies_mhz=(1200, 2400),
         thread_counts_override=(8, 24),
     )
-    return Campaign(Platform(seed=seed), plan)
+
+
+def _multi_run_campaign(seed=20170529):
+    return Campaign(Platform(seed=seed), _multi_run_plan())
+
+
+def _time_division_plan():
+    return CampaignPlan(
+        workloads=(get_workload("memory_read"), get_workload("swim")),
+        frequencies_mhz=(1800,),
+        thread_counts_override=(12, 24),
+        multiplexing="time-division",
+    )
+
+
+#: The small campaign the process backend acquires (seed 13).
+SMALL_WORKLOADS = ("idle", "sqrt", "memory_copy", "bt331")
+SMALL_FREQUENCIES_MHZ = (1200, 2000)
+SMALL_THREADS = (1, 4, 16, 24)
 
 
 #: (workload, frequency, threads, run_index) -> digest of the cell's
@@ -154,13 +177,7 @@ def test_collected_profiles():
 
 
 def test_time_division_profiles():
-    plan = CampaignPlan(
-        workloads=(get_workload("memory_read"), get_workload("swim")),
-        frequencies_mhz=(1800,),
-        thread_counts_override=(12, 24),
-        multiplexing="time-division",
-    )
-    campaign = Campaign(Platform(seed=401), plan)
+    campaign = Campaign(Platform(seed=401), _time_division_plan())
     (cell, *_) = campaign.cells()
     assert profiles_digest(campaign.execute_cell(cell)) == TD_CELL_DIGEST
     assert profiles_digest(campaign.collect_profiles()) == TD_COLLECT_DIGEST
@@ -169,13 +186,46 @@ def test_time_division_profiles():
 def test_process_backend_campaign():
     ds = run_campaign(
         Platform(seed=13),
-        [get_workload(n) for n in ("idle", "sqrt", "memory_copy", "bt331")],
-        (1200, 2000),
-        thread_counts=(1, 4, 16, 24),
+        [get_workload(n) for n in SMALL_WORKLOADS],
+        SMALL_FREQUENCIES_MHZ,
+        thread_counts=SMALL_THREADS,
         parallel="process",
         max_workers=2,
     )
     assert dataset_digest(ds) == PROCESS_DIGEST
+
+
+# -- the scalar reference oracle reproduces the kernel's digests ----------
+
+
+def test_reference_sampled_cells_profiles():
+    by_cell = {}
+    for p in collect_reference(Platform(), _multi_run_plan()):
+        key = (p.workload, p.frequency_mhz, p.threads, p.run_index)
+        by_cell.setdefault(key, []).append(p)
+    got = {key: profiles_digest(by_cell[key]) for key in CELL_DIGESTS}
+    assert got == CELL_DIGESTS
+
+
+def test_reference_collected_profiles():
+    profiles = collect_reference(Platform(seed=401), _multi_run_plan())
+    assert profiles_digest(profiles) == COLLECT_DIGEST
+
+
+def test_reference_time_division_profiles():
+    profiles = collect_reference(Platform(seed=401), _time_division_plan())
+    first = [p for p in profiles if p.workload == "memory_read" and p.threads == 12]
+    assert profiles_digest(first) == TD_CELL_DIGEST
+    assert profiles_digest(profiles) == TD_COLLECT_DIGEST
+
+
+def test_reference_campaign_dataset():
+    plan = CampaignPlan(
+        workloads=tuple(get_workload(n) for n in SMALL_WORKLOADS),
+        frequencies_mhz=SMALL_FREQUENCIES_MHZ,
+        thread_counts_override=SMALL_THREADS,
+    )
+    assert dataset_digest(acquire_reference(Platform(seed=13), plan)) == PROCESS_DIGEST
 
 
 #: The degraded chaos campaign per chaos seed: (dataset, report).

@@ -127,42 +127,23 @@ def test_window_means_match_per_stream_window_mean():
         window_means(values, times, [(2.0, 1.0)])
 
 
-@pytest.mark.parametrize("parallel", ["serial", "thread"])
-def test_platform_failure_is_retried_and_quarantined(parallel, monkeypatch):
+@pytest.mark.parametrize("parallel", ["serial", "thread", "process"])
+def test_platform_failure_is_retried_and_quarantined(parallel):
     # A run the platform crashes fails its whole kernel pass.  Its
     # cells must fall back to recording one by one inside the retry
-    # loop — retried, then quarantined — exactly as the scalar
-    # reference chain handles them, never abort the campaign.
-    from repro.faults import FaultPlan, FaultyPlatform
-    from repro.hardware import FIXED_COUNTERS
-    from repro.hardware.fastsim import FASTSIM_ENV
-
-    prog = tuple(c for c in COUNTER_NAMES if c not in FIXED_COUNTERS)[:12]
-    plan = CampaignPlan(
-        workloads=(get_workload("compute"), get_workload("idle")),
-        frequencies_mhz=(2400,),
-        events=tuple(FIXED_COUNTERS) + prog,
-        thread_counts_override=(8,),
+    # loop — retried, then quarantined — never abort the campaign, and
+    # every backend must reproduce the pinned dataset and report.
+    from .test_acquisition_golden import (
+        QUARANTINE_DIGESTS,
+        quarantine_campaign,
+        result_digests,
     )
 
-    def run():
-        faulty = FaultyPlatform(
-            Platform(), FaultPlan(kill_cells=("compute:2400:8:1",))
-        )
-        return ResilientCampaign(faulty, plan, parallel=parallel).run()
-
-    result = run()
+    kwargs = {"max_workers": 2} if parallel == "process" else {}
+    result = quarantine_campaign(parallel=parallel, **kwargs)
     report = result.report
     assert len(report.quarantined) == 1
     assert "compute" in report.quarantined[0][0]
     assert report.faults_observed["cell-killed"] == 3  # × attempts
     assert report.completed_cells == report.total_cells - 1
-    monkeypatch.setenv(FASTSIM_ENV, "0")
-    reference = run()
-    assert reference.report.quarantined == report.quarantined
-    assert reference.report.faults_observed == report.faults_observed
-    assert reference.dataset.counter_names == result.dataset.counter_names
-    for name in ("counters", "power_w", "voltage_v", "frequency_mhz", "threads"):
-        assert np.array_equal(
-            getattr(reference.dataset, name), getattr(result.dataset, name)
-        )
+    assert result_digests(result) == QUARANTINE_DIGESTS

@@ -1,10 +1,10 @@
 """Bit-identity and memoization tests for the batched acquisition
 kernel (DESIGN.md §17).
 
-The contract under test: every fast-path layer — the vectorized
+The contract under test: every kernel layer — the vectorized
 microarchitecture/power kernel, the phase-state memo, the batched
 jitter, the shared-grid tracer — produces byte-identical results to
-the scalar reference path (``REPRO_FASTSIM=0``)."""
+the scalar reference oracle (:mod:`repro.acquisition.reference`)."""
 
 from __future__ import annotations
 
@@ -13,13 +13,15 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.hardware.counters import COUNTER_NAMES
-from repro.hardware.fastsim import (
-    FASTSIM_ENV,
-    PhaseStateMemo,
-    fastsim_enabled,
-    simulate_phases,
+from repro.acquisition import CampaignPlan, run_campaign
+from repro.acquisition.reference import (
+    acquire_reference,
+    execute_reference,
+    profile_reference,
+    trace_reference,
 )
+from repro.hardware.counters import COUNTER_NAMES
+from repro.hardware.fastsim import PhaseStateMemo, simulate_phases
 from repro.hardware.microarch import evaluate
 from repro.hardware.platform import Platform
 from repro.hardware.pmu import EventSet
@@ -47,41 +49,19 @@ FREQUENCIES = (1200, 1800, 2400)
 THREAD_COUNTS = (1, 2, 8, 12, 13, 24)
 
 
+def paper_tracer(platform, counter_plugin):
+    """A tracer with the paper's power and voltage plugins plus
+    ``counter_plugin``."""
+    return ScorePTracer(
+        platform, [PowerPlugin(platform), VoltagePlugin(platform), counter_plugin]
+    )
+
+
 def assert_states_equal(a, b):
     """MicroarchState equality, field by field (dataclass ``==`` is
     ambiguous on the ndarray member)."""
     assert np.array_equal(a.counter_rates, b.counter_rates)
     assert a.hidden == b.hidden
-
-
-class TestFastsimEnabled:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(FASTSIM_ENV, raising=False)
-        assert fastsim_enabled() is True
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        assert fastsim_enabled(True) is True
-        monkeypatch.setenv(FASTSIM_ENV, "1")
-        assert fastsim_enabled(False) is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-    def test_truthy_env_values(self, monkeypatch, value):
-        monkeypatch.setenv(FASTSIM_ENV, value)
-        assert fastsim_enabled() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", " off "])
-    def test_falsy_env_values(self, monkeypatch, value):
-        monkeypatch.setenv(FASTSIM_ENV, value)
-        assert fastsim_enabled() is False
-
-    @pytest.mark.parametrize("value", ["fa1se", "2", "", "enabled"])
-    def test_invalid_env_value_raises_naming_the_variable(
-        self, monkeypatch, value
-    ):
-        monkeypatch.setenv(FASTSIM_ENV, value)
-        with pytest.raises(ValueError, match="REPRO_FASTSIM"):
-            fastsim_enabled()
 
 
 class TestKernelBitIdentity:
@@ -129,7 +109,7 @@ class TestKernelBitIdentity:
 
 
 class TestExecuteBitIdentity:
-    """Platform.execute fast path vs scalar path, jitter included."""
+    """Platform.execute vs the scalar oracle, jitter included."""
 
     @pytest.mark.parametrize("run_index", [0, 3])
     def test_execute_fast_equals_scalar(self, run_index):
@@ -139,10 +119,10 @@ class TestExecuteBitIdentity:
             for freq_mhz in (1200, 2400):
                 for threads in (1, 13, 24):
                     fast = platform.execute(
-                        wl, freq_mhz, threads, run_index=run_index, fast=True
+                        wl, freq_mhz, threads, run_index=run_index
                     )
-                    scalar = platform.execute(
-                        wl, freq_mhz, threads, run_index=run_index, fast=False
+                    scalar = execute_reference(
+                        platform, wl, freq_mhz, threads, run_index=run_index
                     )
                     assert fast.workload_name == scalar.workload_name
                     assert fast.op == scalar.op
@@ -154,16 +134,6 @@ class TestExecuteBitIdentity:
                         assert_states_equal(pf.state, ps.state)
                         assert pf.power_breakdown == ps.power_breakdown
                         assert pf.true_voltage_v == ps.true_voltage_v
-
-    def test_env_escape_hatch_matches_fast(self, monkeypatch):
-        platform = Platform()
-        wl = get_workload("memory_write")
-        fast = platform.execute(wl, 2400, 8)
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        scalar = platform.execute(wl, 2400, 8)
-        for pf, ps in zip(fast.phases, scalar.phases):
-            assert_states_equal(pf.state, ps.state)
-            assert pf.power_breakdown == ps.power_breakdown
 
     def test_explicit_phases_match_derived(self):
         platform = Platform()
@@ -184,19 +154,17 @@ class TestPhaseStateMemo:
         set; after the first run the memos must serve every repeat."""
         platform = Platform()
         wl = get_workload("md")
-        # fast=True pins the path under test: this test asserts memo
-        # internals, so it must not follow a REPRO_FASTSIM=0 override.
-        platform.execute(wl, 2400, 24, run_index=0, fast=True)
+        platform.execute(wl, 2400, 24, run_index=0)
         misses_after_first = platform._phase_memo.misses
         assert (wl.name, 2400, 24) in platform._run_memo
         for run_index in (1, 2, 3):
-            platform.execute(wl, 2400, 24, run_index=run_index, fast=True)
+            platform.execute(wl, 2400, 24, run_index=run_index)
         # Repeats replay the run skeleton: no new phase evaluations.
         assert platform._phase_memo.misses == misses_after_first
         # A rebuilt skeleton (fresh worker, evicted entry) is served
         # entirely from the phase-state memo.
         platform._run_memo.clear()
-        platform.execute(wl, 2400, 24, run_index=4, fast=True)
+        platform.execute(wl, 2400, 24, run_index=4)
         assert platform._phase_memo.misses == misses_after_first
         assert platform._phase_memo.hits > 0
 
@@ -261,7 +229,7 @@ class TestPhaseStateMemo:
     def test_pickle_drops_memo(self):
         platform = Platform()
         wl = get_workload("compute")
-        platform.execute(wl, 2400, 8, fast=True)
+        platform.execute(wl, 2400, 8)
         assert len(platform._phase_memo) > 0
         restored = pickle.loads(pickle.dumps(platform))
         assert len(restored._phase_memo) == 0
@@ -273,7 +241,7 @@ class TestPhaseStateMemo:
 
 
 class TestTracerBitIdentity:
-    """The shared-grid tracer fast path vs the scalar recording path."""
+    """The shared-grid tracer vs the scalar oracle's recording path."""
 
     EVENTS = tuple(COUNTER_NAMES[:8])
 
@@ -290,34 +258,30 @@ class TestTracerBitIdentity:
     def test_trace_run_identical(self, platform):
         run = platform.execute(get_workload("md"), 2400, 24)
         evset = EventSet(self.EVENTS)
-        fast = trace_run(platform, run, evset, fast=True)
-        scalar = trace_run(platform, run, evset, fast=False)
+        fast = trace_run(platform, run, evset)
+        scalar = trace_reference(
+            paper_tracer(platform, ApapiPlugin(platform, evset)), run
+        )
         self.assert_traces_equal(fast, scalar)
-        assert profile_trace(fast) == profile_trace(scalar)
+        assert profile_trace(fast) == profile_reference(scalar)
+        # The oracle builds per-stream arrays, not a shared one.
+        assert len({id(m.times_s) for m in scalar.metrics.values()}) > 1
 
     def test_trace_multiplexed_identical(self, platform):
         run = platform.execute(get_workload("memory_read"), 1200, 8)
-        fast = trace_multiplexed_run(
-            platform, run, COUNTER_NAMES[:12], fast=True
-        )
-        scalar = trace_multiplexed_run(
-            platform, run, COUNTER_NAMES[:12], fast=False
+        fast = trace_multiplexed_run(platform, run, COUNTER_NAMES[:12])
+        scalar = trace_reference(
+            paper_tracer(
+                platform, MultiplexedApapiPlugin(platform, COUNTER_NAMES[:12])
+            ),
+            run,
         )
         self.assert_traces_equal(fast, scalar)
 
     def test_fast_streams_share_one_times_array(self, platform):
         run = platform.execute(get_workload("md"), 2400, 24)
-        trace = trace_run(platform, run, EventSet(self.EVENTS), fast=True)
+        trace = trace_run(platform, run, EventSet(self.EVENTS))
         assert len({id(m.times_s) for m in trace.metrics.values()}) == 1
-
-    def test_env_escape_hatch_selects_scalar_path(self, platform, monkeypatch):
-        run = platform.execute(get_workload("compute"), 2400, 8)
-        fast = trace_run(platform, run, EventSet(self.EVENTS))
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        scalar = trace_run(platform, run, EventSet(self.EVENTS))
-        self.assert_traces_equal(fast, scalar)
-        # The scalar path builds per-stream arrays, not a shared one.
-        assert len({id(m.times_s) for m in scalar.metrics.values()}) > 1
 
     @pytest.mark.parametrize(
         "make_plugin",
@@ -335,7 +299,7 @@ class TestTracerBitIdentity:
         plugin = make_plugin(platform)
         run = platform.execute(get_workload("md"), 2400, 24)
         assert len(run.phases) > 1
-        trace = ScorePTracer(platform, [plugin], fast=True).trace(run)
+        trace = ScorePTracer(platform, [plugin]).trace(run)
         dt = 0.1
         pos = 0
         for phase in run.phases:
@@ -373,16 +337,11 @@ class TestTracerBitIdentity:
                 return {"temp": temp, "temp_max": np.maximum.accumulate(temp)}
 
         run = platform.execute(get_workload("md"), 2400, 24)
-        traces = [
-            ScorePTracer(
-                platform,
-                [PowerPlugin(platform), VoltagePlugin(platform), ThermalPlugin()],
-                fast=fast,
-            ).trace(run)
-            for fast in (True, False)
-        ]
-        self.assert_traces_equal(*traces)
-        assert profile_trace(traces[0]) == profile_trace(traces[1])
+        tracer = paper_tracer(platform, ThermalPlugin())
+        fast = tracer.trace(run)
+        scalar = trace_reference(tracer, run)
+        self.assert_traces_equal(fast, scalar)
+        assert profile_trace(fast) == profile_reference(scalar)
 
 
 class TestRngWordsPriming:
@@ -459,7 +418,7 @@ class TestRngWordsPriming:
         cold = Platform()
         for i, run_index in enumerate((0, 1)):
             ref_run = cold.execute(md, 2400, 24, run_index=run_index)
-            ref = trace_run(cold, ref_run, EventSet(self.EVENTS), fast=True)
+            ref = trace_run(cold, ref_run, EventSet(self.EVENTS))
             self.assert_metrics_equal(samples.trace(i), ref)
 
     def test_unprimed_plugin_falls_back_to_hashing(self):
@@ -483,13 +442,12 @@ class TestRngWordsPriming:
             record_runs(batch, [tracer])
         cold = Platform()
         warm = trace_multiplexed_run(
-            platform, batch.run(0), COUNTER_NAMES[:12], fast=True
+            platform, batch.run(0), COUNTER_NAMES[:12]
         )
         ref = trace_multiplexed_run(
             cold,
             cold.execute(wl, 1200, 8, run_index=0),
             COUNTER_NAMES[:12],
-            fast=True,
         )
         self.assert_metrics_equal(warm, ref)
 
@@ -499,7 +457,7 @@ class TestRngWordsPriming:
         primed = platform.prime_rng_words(
             [(wl, 2400, 24, 0)], ("PowerPlugin", "VoltagePlugin")
         )
-        platform.execute(wl, 2400, 24, run_index=1, fast=True)
+        platform.execute(wl, 2400, 24, run_index=1)
         assert platform._name_blobs
         clone = pickle.loads(pickle.dumps(platform))
         # Hash state and name blobs are rebuilt, never shipped.
@@ -519,12 +477,10 @@ class TestRngWordsPriming:
 
 
 class TestCampaignBitIdentity:
-    """End-to-end: a small campaign dataset is byte-equal fast vs
-    scalar (the ISSUE-10 acceptance shape in miniature)."""
+    """End-to-end: a small campaign dataset is byte-equal through the
+    experiment kernel and through the scalar oracle's cell loop."""
 
-    def test_small_campaign_dataset_identical(self, monkeypatch):
-        from repro.acquisition import run_campaign
-
+    def test_small_campaign_dataset_identical(self):
         workloads = [get_workload(w) for w in ("idle", "compute", "md")]
         kwargs = dict(
             frequencies_mhz=[1200, 2400],
@@ -532,8 +488,15 @@ class TestCampaignBitIdentity:
             events=COUNTER_NAMES[:8],
         )
         fast_ds = run_campaign(Platform(), workloads, **kwargs)
-        monkeypatch.setenv(FASTSIM_ENV, "0")
-        scalar_ds = run_campaign(Platform(), workloads, **kwargs)
+        plan = CampaignPlan(
+            workloads=tuple(workloads),
+            frequencies_mhz=(1200, 2400),
+            events=COUNTER_NAMES[:8],
+            thread_counts_override=(1, 24),
+        )
+        scalar_ds = acquire_reference(Platform(), plan)
         assert fast_ds.counter_names == scalar_ds.counter_names
+        assert fast_ds.phase_names == scalar_ds.phase_names
         assert np.array_equal(fast_ds.counters, scalar_ds.counters)
         assert np.array_equal(fast_ds.power_w, scalar_ds.power_w)
+        assert np.array_equal(fast_ds.voltage_v, scalar_ds.voltage_v)

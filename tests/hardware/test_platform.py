@@ -78,16 +78,19 @@ class TestDeterminismAndJitter:
 
     def test_jitter_exempt_regression_batch_and_scalar(self, platform):
         """Pin _JITTER_EXEMPT across both jitter applicators: the
-        batched fast path and the per-phase scalar path must rescale
+        batched kernel and the per-phase scalar oracle must rescale
         exactly the same counters — everything except the cycle
         counters, which are fixed by frequency and wall time."""
+        from repro.acquisition.reference import execute_reference
         from repro.hardware.counters import COUNTER_NAMES
         from repro.hardware.microarch import evaluate
 
         wl = get_workload("md")
         exempt = {"TOT_CYC", "REF_CYC"}
-        for fast in (True, False):
-            run = platform.execute(wl, 2400, 24, run_index=1, fast=fast)
+        for run in (
+            platform.execute(wl, 2400, 24, run_index=1),
+            execute_reference(platform, wl, 2400, 24, run_index=1),
+        ):
             op = platform.cfg.curve.operating_point(2400)
             for phase in run.phases:
                 base = evaluate(

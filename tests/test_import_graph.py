@@ -1,10 +1,14 @@
-"""Import-graph contract: no pipeline path loads ``scipy.stats``.
+"""Import-graph contract: no pipeline path loads ``scipy.stats`` or
+the scalar acquisition oracle.
 
 ``scipy.stats`` costs about 0.3 s per interpreter on top of the
 ``scipy.linalg``/``scipy.special`` the stack needs anyway; the pipeline
-takes its Student-t and χ² tails from ``scipy.special`` instead.  Each
-check runs in a fresh interpreter and asserts on ``sys.modules``, not
-on timings, so it cannot flake.
+takes its Student-t and χ² tails from ``scipy.special`` instead.
+``repro.acquisition.reference`` is the scalar chain the experiment
+kernel is checked against; only tests and benchmarks may import it, so
+it can never slip back onto the acquisition path.  Each check runs in a
+fresh interpreter and asserts on ``sys.modules``, not on timings, so it
+cannot flake.
 """
 
 from __future__ import annotations
@@ -24,9 +28,27 @@ ENTRY_MODULES = (
     "repro.serve",
 )
 
+#: The scalar acquisition oracle.
+ORACLE = "repro.acquisition.reference"
 
-def _loads_scipy_stats(body: str) -> bool:
-    code = textwrap.dedent(body) + '\nimport sys\nprint("scipy.stats" in sys.modules)\n'
+#: A campaign, an audited workflow and its inference surface.
+AUDITED_WORKFLOW = """
+from repro.acquisition.campaign import run_campaign
+from repro.core.workflow import run_workflow
+from repro.hardware import Platform
+from repro.workloads import get_workload
+
+workloads = [get_workload(w) for w in ("idle", "compute", "memory_read", "md")]
+ds = run_campaign(Platform(), workloads, [1200, 2400], thread_counts=[1, 8, 24])
+result = run_workflow(dataset=ds, n_events=2, frequencies_mhz=(1200, 2400))
+assert result.audit is not None
+fit = result.model.ols
+fit.pvalues, fit.conf_int(), result.model.predict_interval(ds)
+"""
+
+
+def _loads(body: str, module: str) -> bool:
+    code = textwrap.dedent(body) + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -39,27 +61,17 @@ def _loads_scipy_stats(body: str) -> bool:
     return proc.stdout.strip().splitlines()[-1] == "True"
 
 
+def _loads_scipy_stats(body: str) -> bool:
+    return _loads(body, "scipy.stats")
+
+
 @pytest.mark.parametrize("module", ENTRY_MODULES)
 def test_entry_module_import_skips_scipy_stats(module):
     assert not _loads_scipy_stats(f"import repro\nimport {module}\n")
 
 
 def test_audited_workflow_skips_scipy_stats():
-    assert not _loads_scipy_stats(
-        """
-        from repro.acquisition.campaign import run_campaign
-        from repro.core.workflow import run_workflow
-        from repro.hardware import Platform
-        from repro.workloads import get_workload
-
-        workloads = [get_workload(w) for w in ("idle", "compute", "memory_read", "md")]
-        ds = run_campaign(Platform(), workloads, [1200, 2400], thread_counts=[1, 8, 24])
-        result = run_workflow(dataset=ds, n_events=2, frequencies_mhz=(1200, 2400))
-        assert result.audit is not None
-        fit = result.model.ols
-        fit.pvalues, fit.conf_int(), result.model.predict_interval(ds)
-        """
-    )
+    assert not _loads_scipy_stats(AUDITED_WORKFLOW)
 
 
 def test_probe_detects_scipy_stats():
@@ -72,3 +84,17 @@ def test_probe_detects_scipy_stats():
         dagostino_k2(np.arange(20.0) ** 1.5)
         """
     )
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+def test_entry_module_import_skips_reference_oracle(module):
+    assert not _loads(f"import repro\nimport {module}\n", ORACLE)
+
+
+def test_audited_workflow_skips_reference_oracle():
+    assert not _loads(AUDITED_WORKFLOW, ORACLE)
+
+
+def test_probe_detects_reference_oracle():
+    # Guards the contract itself: the probe must see a real import.
+    assert _loads("import repro.acquisition.reference\n", ORACLE)
