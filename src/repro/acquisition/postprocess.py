@@ -189,7 +189,7 @@ def merge_runs(
                 continue
             arr = np.asarray(values)
             mean = float(arr.mean())
-            if len(values) > 1 and mean > 0:
+            if mean > 0:
                 spread = float(arr.max() - arr.min()) / mean
                 if spread > 0.25:
                     _handle(

@@ -25,10 +25,10 @@ import numpy as np
 from repro.acquisition.campaign import CampaignPlan
 from repro.acquisition.dataset import PowerDataset
 from repro.acquisition.postprocess import build_dataset, merge_runs
-from repro.hardware.counters import COUNTER_NAMES, counter_index
+from repro.hardware.counters import COUNTER_NAMES
 from repro.hardware.microarch import MicroarchState, evaluate
 from repro.hardware.platform import (
-    _JITTER_EXEMPT,
+    _EXEMPT_IDX,
     PhaseExecution,
     Platform,
     RunExecution,
@@ -56,16 +56,9 @@ __all__ = [
 ]
 
 
-def _jitter_mask() -> np.ndarray:
-    """Boolean mask selecting the jitter-affected counters (cached)."""
-    mask = np.ones(len(COUNTER_NAMES), dtype=bool)
-    for name in _JITTER_EXEMPT:
-        mask[counter_index(name)] = False
-    mask.setflags(write=False)
-    return mask
-
-
-_JITTER_MASK = _jitter_mask()
+#: Jitter-affected counters: all but the cycle counters.
+_JITTER_MASK = np.ones(len(COUNTER_NAMES), dtype=bool)
+_JITTER_MASK[_EXEMPT_IDX] = False
 
 
 def _apply_jitter(state: MicroarchState, jitter: float) -> MicroarchState:

@@ -307,13 +307,10 @@ class Platform:
         Run-to-run variation is modelled as a coherent multiplicative
         jitter on activity rates with a correlated power jitter.
 
-        A batch of one through the experiment kernel, the shared
-        implementation of :meth:`execute_runs` (subclasses hooking
-        ``execute_runs``, such as the fault injector's
-        ``FaultyPlatform``, hook ``execute`` too and must not see a
-        single run twice).  ``phases`` lets callers that re-execute the
-        same cell (retry loops) pass a pre-derived phase list instead
-        of re-deriving it from the workload every attempt.
+        A batch of one through the experiment kernel's body, not the
+        hookable :meth:`execute_runs`: the fault injector's
+        ``FaultyPlatform`` hooks both and must not see a run twice.
+        ``phases`` replaces the workload's own phase list.
         """
         return self._stack_runs(
             workload, frequency_mhz, threads, (run_index,), phases, ()

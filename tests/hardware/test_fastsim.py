@@ -114,7 +114,7 @@ class TestExecuteBitIdentity:
     @pytest.mark.parametrize("run_index", [0, 3])
     def test_execute_fast_equals_scalar(self, run_index):
         platform = Platform()
-        for wl_name in ("compute", "memory_read", "idle", "md"):
+        for wl_name in ("compute", "memory_read", "memory_write", "idle", "md"):
             wl = get_workload(wl_name)
             for freq_mhz in (1200, 2400):
                 for threads in (1, 13, 24):
