@@ -20,6 +20,12 @@ from repro.tracing.phases import window_means
 from repro.workloads import get_workload
 from repro.workloads.registry import all_workloads
 
+from .test_acquisition_golden import (
+    QUARANTINE_DIGESTS,
+    quarantine_campaign,
+    result_digests,
+)
+
 
 def registry_plan(multiplexing: str) -> CampaignPlan:
     return CampaignPlan(
@@ -133,12 +139,6 @@ def test_platform_failure_is_retried_and_quarantined(parallel):
     # cells must fall back to recording one by one inside the retry
     # loop — retried, then quarantined — never abort the campaign, and
     # every backend must reproduce the pinned dataset and report.
-    from .test_acquisition_golden import (
-        QUARANTINE_DIGESTS,
-        quarantine_campaign,
-        result_digests,
-    )
-
     kwargs = {"max_workers": 2} if parallel == "process" else {}
     result = quarantine_campaign(parallel=parallel, **kwargs)
     report = result.report

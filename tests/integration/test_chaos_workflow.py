@@ -24,6 +24,8 @@ from repro.hardware import COUNTER_NAMES, FIXED_COUNTERS
 from repro.hardware.platform import Platform
 from repro.workloads import get_workload
 
+from ..acquisition.test_acquisition_golden import CHAOS_DIGESTS, result_digests
+
 #: Small event list keeps the campaign to 2 PMU event sets.
 PROG = tuple(c for c in COUNTER_NAMES if c not in FIXED_COUNTERS)[:8]
 EVENTS = tuple(FIXED_COUNTERS) + PROG
@@ -259,11 +261,6 @@ class TestFastsimChaos:
 
     @pytest.mark.parametrize("chaos_seed", [0, 1, 2])
     def test_fastsim_bit_identical_under_chaos(self, chaos_seed):
-        from ..acquisition.test_acquisition_golden import (
-            CHAOS_DIGESTS,
-            result_digests,
-        )
-
         serial = degraded_campaign(chaos_seed)
         arena = degraded_campaign(
             chaos_seed, parallel="process", max_workers=2
