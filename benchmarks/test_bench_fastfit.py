@@ -29,7 +29,7 @@ from repro.io.atomic import atomic_write_json
 from repro.parallel import MONOTONIC_CLOCK
 from repro.stats import cross_validate
 
-from .conftest import report
+from .conftest import bench_environment, report
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastfit.json"
 
@@ -65,6 +65,7 @@ def test_bench_fastfit(selection_dataset, full_dataset):
     pool = tuple(selection_dataset.counter_names[:N_CANDIDATES])
     results = {
         "clock": "perf_counter",
+        "environment": bench_environment(),
         "reps": REPS,
         "gates": {
             "selection_speedup": SELECTION_SPEEDUP_GATE,

@@ -42,7 +42,7 @@ from repro.stats.ols import fit_ols
 from repro.stats.selection_criteria import CRITERIA
 from repro.workloads import get_workload
 
-from .conftest import report
+from .conftest import bench_environment, report
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
@@ -176,9 +176,15 @@ def selection_results_equal(a, b):
 def test_bench_parallel_layers():
     results = {
         "clock": "perf_counter",
+        "environment": bench_environment(),
         "dwell_s": DWELL_S,
         "eval_dwell_s": EVAL_DWELL_S,
         "fold_dwell_s": FOLD_DWELL_S,
+        "dwell_note": (
+            "dwell_s, eval_dwell_s and fold_dwell_s are injected "
+            "time.sleep calls per work item: the speedups measure overlap "
+            "of injected sleeps, not compute"
+        ),
     }
 
     # -- campaign cells (latency-bound, thread backend) -----------------

@@ -34,7 +34,7 @@ from repro.sched import ClusterScheduler, ScheduledCampaign
 from repro.tracing.phases import PhaseProfile
 from repro.workloads import get_workload
 
-from .conftest import report
+from .conftest import bench_environment, report
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sched.json"
 
@@ -89,7 +89,15 @@ def profile():
 
 
 def test_bench_sched(tmp_path):
-    results = {"clock": "perf_counter", "dwell_s": DWELL_S}
+    results = {
+        "clock": "perf_counter",
+        "environment": bench_environment(),
+        "dwell_s": DWELL_S,
+        "dwell_note": (
+            "dwell_s is an injected time.sleep per run: the acceptance "
+            "cells/s measure overlap of injected sleeps, not compute"
+        ),
+    }
 
     # -- placement scaling: virtual cells/sec vs node count -------------
     n_cells = 200

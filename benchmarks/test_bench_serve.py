@@ -4,9 +4,10 @@ Four measurements, recorded with the environment they ran in:
 
 * **batched vs single-stream throughput** — node-steps/sec of one
   vectorized ``FleetEstimator.step_batch`` over a 10k-node fleet
-  against the serial loop of per-node ``OnlineEstimator.step`` calls
-  it is bit-identical to.  The gate is the tentpole's reason to exist:
-  batched must be at least 5x serial;
+  against the serial loop of per-node scalar-oracle
+  (``SerialOnlineEstimator.step``) calls it is bit-identical to.  The
+  gate is the kernel's reason to exist: batched must be at least 5x
+  serial;
 * **tick latency** — p50/p99 wall latency of a full-fleet batched
   step over repeated ticks;
 * **overload shedding** — a 2x burst against a fleet-sized bounded
@@ -27,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.model import FittedPowerModel
-from repro.core.online import OnlineEstimator, PowerEnvelope
+from repro.core.online import PowerEnvelope
+from repro.core.online_reference import SerialOnlineEstimator
 from repro.io.atomic import atomic_write_json
 from repro.parallel import MONOTONIC_CLOCK
 from repro.serve import FleetEstimator, FleetService, NodeSample, make_batch
@@ -96,8 +98,10 @@ def test_bench_serve():
     rng = np.random.default_rng(20170529)
     ticks = [tick_samples(node_ids, t, rng) for t in range(6)]
 
-    # -- single-stream baseline: the serial loop ------------------------
-    serial = {nid: OnlineEstimator(model, **ESTIMATOR_KW) for nid in node_ids}
+    # -- single-stream baseline: the scalar oracle's serial loop --------
+    serial = {
+        nid: SerialOnlineEstimator(model, **ESTIMATOR_KW) for nid in node_ids
+    }
 
     def serial_tick(samples):
         for s in samples:
@@ -148,9 +152,9 @@ def test_bench_serve():
     # The gate: vectorization must pay for itself at fleet scale.
     assert speedup >= 5.0, results["throughput"]
 
-    # Spot-check identity held on this stream (first/last node).
+    # Spot-check identity with the oracle on this stream (first/last node).
     for nid in (node_ids[0], node_ids[-1]):
-        probe = OnlineEstimator(model, **ESTIMATOR_KW)
+        probe = SerialOnlineEstimator(model, **ESTIMATOR_KW)
         for samples in ticks:
             for s in samples:
                 if s.node_id == nid:

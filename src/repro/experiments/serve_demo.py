@@ -7,9 +7,10 @@ fleet; at each CI fault seed a quarter of the nodes emit corrupted
 telemetry (NaN/negative deltas, dead voltage rails, backwards
 timestamps, duplicates, bursts) for the whole session.  The demo
 verifies the blast radius: every *healthy* node's final estimator
-state must be bit-identical to a serial :class:`OnlineEstimator` fed
-the same stream, while the degradation the faults caused is graded by
-the AU013 audit rule.
+state must be bit-identical to a fault-free
+:class:`~repro.serve.FleetEstimator` fed only the healthy nodes'
+samples, one batched step per tick, while the degradation the faults
+caused is graded by the AU013 audit rule.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import numpy as np
 
 from repro.audit import audit_fleet
 from repro.core import PowerModel
-from repro.core.online import OnlineEstimator, PowerEnvelope
+from repro.core.online import PowerEnvelope
 from repro.core.report import render_table
 from repro.experiments.data import full_dataset, selected_counters
 from repro.faults import IngestFaultInjector, IngestFaultPlan
 from repro.seeding import DEFAULT_SEED
-from repro.serve import FleetService, NodeSample
+from repro.serve import FleetEstimator, FleetService, NodeSample, make_batch
 
 __all__ = ["ServeDemoResult", "run"]
 
@@ -152,34 +153,30 @@ def run(seed: int = DEFAULT_SEED) -> ServeDemoResult:
             queue_capacity=8 * N_NODES,
             seed=seed,
         )
-        reference = {
-            n: OnlineEstimator(model, **estimator_kw)
-            for n in node_ids
-            if n not in faulty
-        }
+        reference = FleetEstimator(model, seed=seed, **estimator_kw)
         rng = np.random.default_rng(seed)
         for tick in range(N_TICKS):
             corrupted = injector.corrupt(
                 _node_stream(node_ids, tick, rng, counters), tick
             )
-            for sample in corrupted:
-                if (
-                    isinstance(sample, NodeSample)
-                    and sample.node_id in reference
-                ):
-                    reference[sample.node_id].step(
-                        sample.counter_deltas,
-                        interval_s=sample.interval_s,
-                        voltage_v=sample.voltage_v,
-                        frequency_mhz=sample.frequency_mhz,
-                        time_s=sample.time_s,
-                    )
+            reference.step_batch(
+                make_batch(
+                    [
+                        sample
+                        for sample in corrupted
+                        if isinstance(sample, NodeSample)
+                        and sample.node_id not in faulty
+                    ],
+                    counters,
+                )
+            )
             service.submit(corrupted)
             service.process()
 
         identical = all(
-            service.fleet.drift_report(n) == reference[n].drift_report()
-            for n in reference
+            service.fleet.drift_report(n) == reference.drift_report(n)
+            for n in node_ids
+            if n not in faulty
         )
         report = service.report()
         outcomes.append(

@@ -7,8 +7,11 @@ Layered like a backend app (DESIGN.md §15):
 * :mod:`repro.serve.middleware` — schema validation + duplicate audit;
 * :mod:`repro.serve.queue` — bounded ingestion with explicit
   backpressure policies;
-* :mod:`repro.serve.fleet` — vectorized per-node estimator state,
-  bit-identical to the serial :class:`~repro.core.online.OnlineEstimator`;
+* :mod:`repro.serve.fleet` — vectorized per-node estimator state and
+  ``step_batch``, the only online-estimation kernel (the one-node
+  :class:`~repro.core.online.OnlineEstimator` is a view over it),
+  bit-identical to the scalar test oracle
+  :mod:`repro.core.online_reference`;
 * :mod:`repro.serve.state` — sharded atomic snapshot/restore;
 * :mod:`repro.serve.breaker` — per-shard operation circuit breakers;
 * :mod:`repro.serve.report` — shard and fleet health roll-ups;

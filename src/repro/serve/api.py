@@ -3,12 +3,13 @@
 A monitored node reports one :class:`NodeSample` per sampling interval;
 the service packs validated samples into column-major :class:`Batch`
 matrices (nodes × counters) that :class:`repro.serve.fleet.FleetEstimator`
-steps in one vectorized pass.  The batch layout preserves everything the
-single-node :meth:`~repro.core.online.OnlineEstimator.step` contract
-distinguishes — a *missing* counter (absent key), a *non-finite* delta
-and a *negative* delta are different degradations with different
-messages — so the vectorized path can reproduce the serial path bit for
-bit.
+steps in one vectorized pass — the only online-estimation kernel; the
+single-node :class:`~repro.core.online.OnlineEstimator` packs its one
+sample into a one-row batch.  The batch layout preserves everything the
+step contract distinguishes — a *missing* counter (absent key), a
+*non-finite* delta and a *negative* delta are different degradations
+with different messages — so the kernel reproduces the scalar test
+oracle (:mod:`repro.core.online_reference`) bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Batch:
     node *reported* a non-finite value — a different fault).
     ``time_valid[i]`` is False where the sample carried no timestamp.
     The same ``node_id`` may appear in several rows (duplicate reports);
-    row order is the arrival order the serial path would see.
+    row order is the arrival order a per-node loop would see.
     """
 
     counters: Tuple[str, ...]
@@ -81,9 +82,9 @@ class Batch:
         )
 
     def row_sample(self, i: int) -> NodeSample:
-        """Row *i* back as the :class:`NodeSample` the serial estimator
-        would have been fed — the identity tests step both paths from
-        the same rows."""
+        """Row *i* back as the :class:`NodeSample` a single-node
+        estimator would have been fed — the identity tests step the
+        kernel and the scalar oracle from the same rows."""
         deltas = {
             counter: float(self.deltas[i, k])
             for k, counter in enumerate(self.counters)
@@ -105,7 +106,7 @@ def make_batch(
     """Pack samples into a :class:`Batch` over the model's counters.
 
     Counters a sample carries beyond the model's set are ignored, like
-    the serial path ignores them; absent counters become
+    the scalar oracle ignores them; absent counters become
     ``present=False`` holes.
     """
     counters = tuple(counters)

@@ -242,27 +242,15 @@ class FleetService:
         self, samples: Sequence[NodeSample]
     ) -> Tuple[Tuple[str, float], ...]:
         """PMC-free baseline estimates that touch no per-node state."""
-        out = []
-        for sample in samples:
-            power_w = self._baseline_power(
-                sample.voltage_v, sample.frequency_mhz
-            )
-            out.append((sample.node_id, power_w))
-        self._stateless_served += len(out)
-        return tuple(out)
-
-    def _baseline_power(self, voltage_v: float, frequency_mhz: float) -> float:
-        coeffs = self.fleet.model.coefficients
-        v2f = voltage_v * voltage_v * (frequency_mhz / 1000.0)
-        power_w = (
-            coeffs["beta:V2f"] * v2f
-            + coeffs["gamma:V"] * voltage_v
-            + coeffs["delta:Z"]
+        power_w = self.fleet.stateless_power(
+            np.array([s.voltage_v for s in samples], dtype=np.float64),
+            np.array([s.frequency_mhz for s in samples], dtype=np.float64),
         )
-        envelope = self.fleet.envelope
-        if envelope is not None:
-            return envelope.clip(float(power_w))
-        return float(power_w) if np.isfinite(power_w) else 0.0
+        out = tuple(
+            (sample.node_id, float(p)) for sample, p in zip(samples, power_w)
+        )
+        self._stateless_served += len(out)
+        return out
 
     # ------------------------------------------------------------------
     # Processing

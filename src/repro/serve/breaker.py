@@ -1,6 +1,7 @@
 """Per-shard circuit breakers for the fleet service.
 
-The *node-level* breaker inside :class:`~repro.core.online.OnlineEstimator`
+The *node-level* breaker inside the estimator kernel
+(:meth:`~repro.serve.fleet.FleetEstimator.step_batch`, one per node)
 guards against one node's flapping counters.  :class:`ShardBreaker`
 guards a different failure surface: the shard *operation* itself —
 stepping a shard's sub-batch, writing or restoring its snapshot.  When

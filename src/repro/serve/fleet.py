@@ -1,32 +1,36 @@
-"""Vectorized fleet-wide online estimation over (nodes × counters).
+"""Vectorized online estimation over (nodes × counters): the kernel.
 
-:class:`FleetEstimator` holds the state of millions of per-node
-:class:`~repro.core.online.OnlineEstimator` sessions in flat numpy
-arrays and advances a whole :class:`~repro.serve.api.Batch` per call.
+:class:`FleetEstimator` holds the state of millions of per-node online
+estimation sessions in flat numpy arrays and advances a whole
+:class:`~repro.serve.api.Batch` per call.  ``step_batch`` is the only
+implementation of the hardened Equation 1 step (DESIGN.md §10): the
+single-node :class:`~repro.core.online.OnlineEstimator` is a one-node
+view over this class, and the fleet owns config and snapshot
+validation.
 
 Bit-identity contract
 ---------------------
-``step_batch`` is **bit-identical** to looping the single-node
-:meth:`OnlineEstimator.step` over the batch rows in order: every
-estimate (power, EWMA, timestamp), every ``source`` / ``flags``
-decision, every breaker transition, drift latch, counter tally and
-warning string matches the serial path exactly.  Three things make
-that possible:
+``step_batch`` is **bit-identical** to looping the scalar oracle
+:meth:`~repro.core.online_reference.SerialOnlineEstimator.step` over
+the batch rows in order: every estimate (power, EWMA, timestamp),
+every ``source`` / ``flags`` decision, every breaker transition, drift
+latch, counter tally and warning string matches exactly.  Three things
+make that possible:
 
 * every arithmetic expression is evaluated in the *same operand
-  order* as the serial code — numpy elementwise float64 ops are
+  order* as the scalar oracle — numpy elementwise float64 ops are
   IEEE-identical to the scalar ops they replace;
-* branching becomes masking: each serial branch is a boolean mask,
+* branching becomes masking: each oracle branch is a boolean mask,
   and warning/flag strings are built by sparse Python loops over
   ``np.nonzero`` of *incident* rows only, so the clean fast path
   stays loop-free;
 * duplicate node ids inside one batch are processed in **waves**
   (first occurrence of every node, then second, …), preserving each
-  node's per-sample order — exactly what the serial loop sees.
+  node's per-sample order — exactly what a per-node loop sees.
 
-The drift window is a fixed-size int8 ring buffer per node (the serial
-list-append-and-trim, without the allocation).  Quarantine is a
-fleet-level *reporting overlay* on top of the serial semantics: a node
+The drift window is a fixed-size int8 ring buffer per node (the
+oracle's list-append-and-trim, without the allocation).  Quarantine is
+a fleet-level *reporting overlay* on top of the oracle semantics: a node
 whose drift latch fires is quarantined (seeded probation via
 :func:`repro.seeding.derive_rng`) so shard health statistics exclude
 it; its estimates are still produced bit-identically.
@@ -44,7 +48,6 @@ from repro.core.online import (
     ONLINE_STATE_FORMAT,
     DriftReport,
     OnlineEstimate,
-    OnlineEstimator,
     PowerEnvelope,
 )
 from repro.seeding import DEFAULT_SEED, derive_rng
@@ -52,12 +55,31 @@ from repro.serve.api import Batch
 
 __all__ = ["FleetEstimator", "BatchResult"]
 
+#: Integer tallies of one node's snapshot (``ONLINE_STATE_FORMAT``).
+_STATE_COUNTS = (
+    "n_intervals", "seen", "n_model", "n_baseline", "n_skipped",
+    "n_implausible", "n_clipped", "breaker_trips", "breaker_open_intervals",
+    "consecutive_bad", "consecutive_good",
+)
+
+#: A never-stepped node in the :meth:`FleetEstimator.node_state` schema.
+_FRESH_STATE: Dict[str, object] = {
+    "format": ONLINE_STATE_FORMAT,
+    "smoothed": None,
+    "last_time": None,
+    **{key: 0 for key in _STATE_COUNTS},
+    "breaker_open": False,
+    "implausible_window": [],
+    "drift_detected": False,
+    "warnings": [],
+}
+
 
 @dataclass
 class BatchResult:
     """Row-aligned outcome of one ``step_batch`` call.
 
-    ``produced[i]`` is False where the serial path would have returned
+    ``produced[i]`` is False where a single-node step returns
     ``None`` (skipped interval); ``power_w``/``smoothed_w``/``time_s``
     are NaN there.  ``flags`` is sparse: only rows with at least one
     flag appear.
@@ -80,7 +102,7 @@ class BatchResult:
         return int(np.count_nonzero(self.produced))
 
     def estimate(self, i: int) -> Optional[OnlineEstimate]:
-        """Row *i* as the :class:`OnlineEstimate` the serial path
+        """Row *i* as the :class:`OnlineEstimate` a single-node step
         returns (``None`` for a skipped row)."""
         if not self.produced[i]:
             return None
@@ -140,18 +162,18 @@ class FleetEstimator:
         quarantine_probation: int = 50,
         capacity: int = 1024,
     ) -> None:
-        # The scratch estimator validates every config parameter with
-        # the serial rules and later validates node-state snapshots via
-        # its load_state — one validator, zero drift between paths.
-        self._scratch = OnlineEstimator(
-            model,
-            smoothing=smoothing,
-            envelope=envelope,
-            breaker_threshold=breaker_threshold,
-            recovery_threshold=recovery_threshold,
-            drift_window=drift_window,
-            drift_tolerance=drift_tolerance,
-        )
+        if not 0.0 < smoothing <= 1.0:
+            raise ValueError(f"smoothing must be in (0, 1], got {smoothing}")
+        if breaker_threshold < 1:
+            raise ValueError("breaker_threshold must be at least 1")
+        if recovery_threshold < 1:
+            raise ValueError("recovery_threshold must be at least 1")
+        if drift_window < 1:
+            raise ValueError("drift_window must be at least 1")
+        if not 0.0 < drift_tolerance <= 1.0:
+            raise ValueError(
+                f"drift_tolerance must be in (0, 1], got {drift_tolerance}"
+            )
         if quarantine_probation < 1:
             raise ValueError("quarantine_probation must be at least 1")
         if capacity < 1:
@@ -246,7 +268,7 @@ class FleetEstimator:
         return idx
 
     # ------------------------------------------------------------------
-    # Snapshot-safe per-node state (OnlineEstimator schema)
+    # Snapshot-safe per-node state (ONLINE_STATE_FORMAT schema)
     # ------------------------------------------------------------------
     def _window_list(self, idx: int) -> List[bool]:
         """The node's implausible window, oldest → newest."""
@@ -263,7 +285,8 @@ class FleetEstimator:
     def node_state(self, node_id: str) -> Dict[str, object]:
         """One node's state in the exact
         :meth:`OnlineEstimator.state_dict` schema — a fleet snapshot
-        restores into a single-node estimator and vice versa."""
+        restores into a single-node estimator (and the scalar oracle)
+        and vice versa."""
         i = self._node_index(node_id)
         return {
             "format": ONLINE_STATE_FORMAT,
@@ -292,52 +315,124 @@ class FleetEstimator:
             "warnings": list(self._warnings.get(i, [])),
         }
 
-    def load_node_state(self, node_id: str, state: Dict[str, object]) -> int:
-        """Restore one node from a snapshot (strict, validated).
+    def _parse_state(self, state: Dict[str, object]) -> Dict[str, object]:
+        """A validated, normalized copy of one node's snapshot.
 
-        Validation is delegated to :meth:`OnlineEstimator.load_state`
-        so the fleet accepts and rejects exactly what the serial
-        estimator would; malformed snapshots raise ``ValueError`` and
-        leave the node untouched.
+        Unknown schema versions and malformed snapshots raise
+        ``ValueError``: a corrupt snapshot must be discarded by the
+        caller (the node rebuilt from the baseline model), never
+        half-loaded.
         """
-        self._scratch.load_state(state)  # raises ValueError if malformed
-        src = self._scratch
+        if not isinstance(state, dict):
+            raise ValueError("estimator state must be a dict")
+        if state.get("format") != ONLINE_STATE_FORMAT:
+            raise ValueError(
+                f"unknown estimator state format {state.get('format')!r} "
+                f"(expected {ONLINE_STATE_FORMAT})"
+            )
+        try:
+            smoothed = state["smoothed"]
+            last_time = state["last_time"]
+            window = list(state["implausible_window"])
+            warnings = [str(w) for w in state["warnings"]]
+            ints = {
+                key: int(state[key])  # type: ignore[arg-type]
+                for key in _STATE_COUNTS
+            }
+            breaker_open = bool(state["breaker_open"])
+            drift_detected = bool(state["drift_detected"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed estimator state: {exc}") from exc
+        if smoothed is not None and not np.isfinite(float(smoothed)):
+            raise ValueError("estimator state carries a non-finite EWMA")
+        if len(window) > self.drift_window:
+            raise ValueError(
+                "estimator state drift window longer than configured"
+            )
+        if any(v < 0 for v in ints.values()):
+            raise ValueError("estimator state counters must be non-negative")
+        return dict(
+            ints,
+            smoothed=None if smoothed is None else float(smoothed),
+            last_time=None if last_time is None else float(last_time),
+            implausible_window=[bool(b) for b in window],
+            warnings=warnings,
+            breaker_open=breaker_open,
+            drift_detected=drift_detected,
+        )
+
+    def load_node_state(self, node_id: str, state: Dict[str, object]) -> int:
+        """Restore one node from a :meth:`node_state` snapshot (strict,
+        validated); a malformed snapshot raises ``ValueError`` and
+        leaves the node untouched."""
+        src = self._parse_state(state)
         i = self.ensure_node(node_id)
-        sm = src._smoothed
-        self._smoothed[i] = np.nan if sm is None else float(sm)
+        sm = src["smoothed"]
+        self._smoothed[i] = np.nan if sm is None else sm
         self._smoothed_valid[i] = sm is not None
-        lt = src._last_time
-        self._last_time[i] = np.nan if lt is None else float(lt)
+        lt = src["last_time"]
+        self._last_time[i] = np.nan if lt is None else lt
         self._last_time_valid[i] = lt is not None
-        self._n_intervals[i] = src._n_intervals
-        self._seen[i] = src._seen
-        self._n_model[i] = src._n_model
-        self._n_baseline[i] = src._n_baseline
-        self._n_skipped[i] = src._n_skipped
-        self._n_implausible[i] = src._n_implausible
-        self._n_clipped[i] = src._n_clipped
-        self._breaker_open[i] = src._breaker_open
-        self._breaker_trips[i] = src._breaker_trips
-        self._breaker_open_intervals[i] = src._breaker_open_intervals
-        self._consecutive_bad[i] = src._consecutive_bad
-        self._consecutive_good[i] = src._consecutive_good
-        self._drift_detected[i] = src._drift_detected
-        window = src._implausible_window
+        for key in _STATE_COUNTS + ("breaker_open", "drift_detected"):
+            getattr(self, "_" + key)[i] = src[key]
+        window = src["implausible_window"]
         self._ring[i, :] = 0
         self._ring[i, : len(window)] = [int(b) for b in window]
         self._wlen[i] = len(window)
         self._wpos[i] = len(window) % self.drift_window
         self._wsum[i] = sum(window)
-        if src._warnings:
-            self._warnings[i] = list(src._warnings)
+        if src["warnings"]:
+            self._warnings[i] = list(src["warnings"])
         else:
             self._warnings.pop(i, None)
         # Quarantine is a live overlay, not snapshot state: a restored
         # node re-earns it if its window stays implausible.
         self._quarantined[i] = False
         self._quarantine_release[i] = 0
-        self._scratch.reset()
         return i
+
+    def reset_node(self, node_id: str) -> None:
+        """Return one node to the fresh-session state."""
+        self.load_node_state(node_id, _FRESH_STATE)
+
+    # ------------------------------------------------------------------
+    # Equation 1's PMC-free baseline
+    # ------------------------------------------------------------------
+    def _structural_terms(
+        self, voltage_v: np.ndarray, frequency_mhz: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``V²f`` and the baseline ``βV²f + γV + δZ``."""
+        v2f = voltage_v * voltage_v * (frequency_mhz / 1000.0)
+        return v2f, self._beta * v2f + self._gamma * voltage_v + self._delta
+
+    def _clip(self, power_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`PowerEnvelope.clip` elementwise, plus the mask of
+        entries it changed (non-finite ones land mid-range)."""
+        lo, hi = self.envelope.lo_w, self.envelope.hi_w
+        nonfin = ~np.isfinite(power_w)
+        clipped = np.minimum(np.maximum(power_w, lo), hi)
+        clipped[nonfin] = 0.5 * (lo + hi)
+        changed = (clipped != power_w) | nonfin  # replint: ignore[RL004] -- clamping returns the input bit-exactly when in range
+        return clipped, changed
+
+    def baseline_power(self, voltage_v, frequency_mhz) -> np.ndarray:
+        """What the model says about operating points when no counter
+        can be trusted, elementwise (scalars give a 0-d array)."""
+        return self._structural_terms(
+            np.asarray(voltage_v, dtype=np.float64),
+            np.asarray(frequency_mhz, dtype=np.float64),
+        )[1]
+
+    def stateless_power(
+        self, voltage_v: np.ndarray, frequency_mhz: np.ndarray
+    ) -> np.ndarray:
+        """The baseline answer that touches no per-node state: clipped
+        into the envelope, or zero where it is non-finite and there is
+        no envelope."""
+        power_w = self.baseline_power(voltage_v, frequency_mhz)
+        if self.envelope is None:
+            return np.where(np.isfinite(power_w), power_w, 0.0)
+        return self._clip(power_w)[0]
 
     # ------------------------------------------------------------------
     # Vectorized stepping
@@ -376,7 +471,7 @@ class FleetEstimator:
         self._dirty.update(int(v) for v in np.unique(nodes))
         if occurrence.any():
             # Duplicate reports: each node's k-th sample lands in wave
-            # k, so per-node ordering matches the serial loop.
+            # k, so per-node ordering matches a per-node loop.
             for wave in range(int(occurrence.max()) + 1):
                 sel = occurrence == wave
                 self._step_wave(batch, np.nonzero(sel)[0], nodes[sel], out)
@@ -495,9 +590,8 @@ class FleetEstimator:
         for j in np.nonzero(is_open)[0]:
             add_flag(int(rows[j]), "breaker-open")
 
-        # Equation 1, in the serial operand order.
-        v2f = voltage_v * voltage_v * (freq_mhz / 1000.0)
-        baseline = self._beta * v2f + self._gamma * voltage_v + self._delta
+        # Equation 1, in the scalar oracle's operand order.
+        v2f, baseline = self._structural_terms(voltage_v, freq_mhz)
         power_w = baseline.copy()
         source_model = np.zeros(m, dtype=bool)
         implausible = np.zeros(m, dtype=bool)
@@ -530,15 +624,7 @@ class FleetEstimator:
         if self.envelope is not None:
             b = np.nonzero(~source_model)[0]
             if b.size:
-                p = power_w[b]
-                nonfin = ~np.isfinite(p)
-                clipped = np.minimum(
-                    np.maximum(p, self.envelope.lo_w), self.envelope.hi_w
-                )
-                clipped[nonfin] = 0.5 * (
-                    self.envelope.lo_w + self.envelope.hi_w
-                )
-                changed = (clipped != p) | nonfin
+                clipped, changed = self._clip(power_w[b])
                 hit = b[changed]
                 self._n_clipped[nd[hit]] += 1
                 for j in hit:
@@ -550,7 +636,7 @@ class FleetEstimator:
             self._warn(int(nd[j]), "non-finite estimate replaced by 0.0")
         power_w[zeroed] = 0.0
 
-        # Drift window: the serial append-and-trim as a ring buffer.
+        # Drift window: the oracle's append-and-trim as a ring buffer.
         val = implausible.astype(np.int8)
         full = self._wlen[nd] == self.drift_window
         old = np.where(full, self._ring[nd, self._wpos[nd]], 0)
@@ -573,7 +659,7 @@ class FleetEstimator:
                 f"{self.drift_window} intervals implausible",
             )
 
-        # Record: EWMA, timeline, interval count (serial operand order).
+        # Record: EWMA, timeline, interval count (oracle operand order).
         sm_prev = self._smoothed[nd]
         smoothed = np.where(
             self._smoothed_valid[nd],
@@ -640,6 +726,9 @@ class FleetEstimator:
     def warnings(self, node_id: str) -> Tuple[str, ...]:
         return tuple(self._warnings.get(self._node_index(node_id), []))
 
+    def breaker_open(self, node_id: str) -> bool:
+        return bool(self._breaker_open[self._node_index(node_id)])
+
     def is_quarantined(self, node_id: str) -> bool:
         return bool(self._quarantined[self._node_index(node_id)])
 
@@ -649,8 +738,8 @@ class FleetEstimator:
         return tuple(self._ids[int(i)] for i in hits)
 
     def drift_report(self, node_id: str) -> DriftReport:
-        """One node's session tally — identical to what the serial
-        estimator's :meth:`OnlineEstimator.drift_report` would say."""
+        """One node's session tally — identical to what the scalar
+        oracle's ``drift_report`` says after the same samples."""
         i = self._node_index(node_id)
         wlen = int(self._wlen[i])
         fraction = float(self._wsum[i]) / wlen if wlen else 0.0

@@ -5,9 +5,10 @@ type, missing fields, empty node id, non-finite context *types*,
 NaN/infinite timestamps) are dropped **and counted** here — they never
 reach the estimator.  Degraded-but-well-formed samples (NaN deltas,
 non-positive voltage, backwards timestamps) pass through untouched:
-judging *values* is the estimator's job, and it must see them so the
-fleet path stays bit-identical to the serial
-:meth:`~repro.core.online.OnlineEstimator.step` contract.
+judging *values* is the estimator kernel's job
+(:meth:`~repro.serve.fleet.FleetEstimator.step_batch`), and it must see
+them to stay bit-identical to the scalar test oracle
+(:mod:`repro.core.online_reference`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Sharded persistence of per-node estimator state.
 
-:class:`FleetStateStore` stores :meth:`OnlineEstimator.state_dict`
-snapshots keyed by node id, on top of the generic
+:class:`FleetStateStore` stores per-node snapshots in the
+:meth:`~repro.serve.fleet.FleetEstimator.node_state` schema (the one
+:meth:`~repro.core.online.OnlineEstimator.state_dict` returns, since
+that estimator is a one-node view over the fleet kernel; the scalar
+test oracle writes it too) keyed by node id, on top of the generic
 :class:`~repro.acquisition.checkpoint.ShardedArchiveStore` — the same
 atomic-write / lazy-read / corrupt-shard-discard machinery the
 campaign checkpoints use.  A corrupt shard loses only its own nodes

@@ -79,6 +79,35 @@ class TestOnlineEstimator:
             OnlineEstimator(fitted, smoothing=0.0)
 
 
+    def test_update_raises_on_what_step_would_degrade_or_skip(
+        self, fitted, full_dataset
+    ):
+        """The strict path rejects every input the fault-tolerant path
+        would skip or answer from the baseline, and a rejected interval
+        leaves no trace in the estimator state."""
+        est = OnlineEstimator(fitted)
+        ctx = dict(interval_s=1.0, voltage_v=0.97, frequency_mhz=2400)
+        clean = self._deltas(fitted, full_dataset, 0, 1.0)
+        est.update(clean, **ctx, time_s=1.0)
+        state = est.state_dict()
+        first = fitted.counters[0]
+        suspect = [
+            (dict(clean, **{first: float("nan")}), ctx),
+            (dict(clean, **{first: -1.0}), ctx),
+            (clean, dict(ctx, interval_s=float("nan"))),
+            (clean, dict(ctx, voltage_v=float("inf"))),
+            (clean, dict(ctx, time_s=1.0)),
+            (clean, dict(ctx, time_s=0.5)),
+        ]
+        for deltas, kwargs in suspect:
+            with pytest.raises(ValueError):
+                est.update(deltas, **{"time_s": 2.0, **kwargs})
+            assert est.state_dict() == state
+            assert len(est.history) == 1
+        out = est.update(clean, **ctx, time_s=2.0)
+        assert out.source == "model" and out.flags == ()
+
+
 class TestEstimateRun:
     def test_timeline_tracks_measurement(self, platform, fitted):
         run = platform.execute(get_workload("compute"), 2400, 24)

@@ -1,12 +1,14 @@
-"""Bit-identity of the vectorized fleet step against the serial loop.
+"""Bit-identity of the online-estimation kernel against the scalar oracle.
 
 The contract under test is absolute: for any ingestion stream —
 including one mangled by seeded fault injection — ``step_batch`` must
 produce byte-for-byte the same estimates, flags, warnings, breaker
 transitions and drift decisions as feeding each node's samples one at
-a time through its own :class:`OnlineEstimator`.  Equality is ``==``
-on floats, not approx: the vectorized path mirrors the serial operand
-order exactly.
+a time through its own scalar oracle
+(:class:`~repro.core.online_reference.SerialOnlineEstimator`), and so
+must the one-node :class:`OnlineEstimator` view over the kernel.
+Equality is ``==`` on floats, not approx: the kernel mirrors the
+oracle's operand order exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.online import OnlineEstimator, PowerEnvelope
+from repro.core.online_reference import SerialOnlineEstimator
 from repro.faults import IngestFaultInjector, IngestFaultPlan
 from repro.serve import FleetEstimator, SchemaValidator, make_batch
 
@@ -32,14 +35,14 @@ ESTIMATOR_KW = dict(
 def run_identity_stream(
     model, envelope, *, n_nodes, n_ticks, plan, fault_seed, data_seed=7
 ):
-    """Drive fleet and serial estimators over the same faulty stream
+    """Drive the fleet and per-node oracles over the same faulty stream
     and assert every per-row estimate and final report matches."""
     rng = np.random.default_rng(data_seed)
     node_ids = [f"node-{i:03d}" for i in range(n_nodes)]
     injector = IngestFaultInjector(plan, fault_seed)
     validator = SchemaValidator()
     kw = dict(envelope=envelope, **ESTIMATOR_KW)
-    serial = {nid: OnlineEstimator(model, **kw) for nid in node_ids}
+    serial = {nid: SerialOnlineEstimator(model, **kw) for nid in node_ids}
     fleet = FleetEstimator(model, **kw)
 
     produced = 0
@@ -111,7 +114,7 @@ class TestFleetIdentity:
 
     def test_everything_implausible_latches_drift_identically(self, model):
         """A too-tight envelope forces every model estimate implausible
-        — the drift latch and quarantine path must match serially."""
+        — the drift latch and quarantine path must match the oracle."""
         # The synthetic model's baseline alone is ~34-66 W for the
         # generated contexts, so a 20 W ceiling makes every model
         # estimate implausible.
@@ -119,7 +122,7 @@ class TestFleetIdentity:
         rng = np.random.default_rng(11)
         node_ids = [f"node-{i}" for i in range(8)]
         kw = dict(envelope=tight, **ESTIMATOR_KW)
-        serial = {nid: OnlineEstimator(model, **kw) for nid in node_ids}
+        serial = {nid: SerialOnlineEstimator(model, **kw) for nid in node_ids}
         fleet = FleetEstimator(model, **kw)
         for tick in range(10):
             samples = make_fleet_samples(node_ids, tick, rng)
@@ -147,10 +150,10 @@ class TestFleetIdentity:
         self, model, envelope
     ):
         """Three samples for the same node in one batch must apply in
-        row order, exactly like three serial step() calls."""
+        row order, exactly like three oracle step() calls."""
         rng = np.random.default_rng(5)
         kw = dict(envelope=envelope, **ESTIMATOR_KW)
-        serial = OnlineEstimator(model, **kw)
+        serial = SerialOnlineEstimator(model, **kw)
         fleet = FleetEstimator(model, **kw)
         samples = []
         for rep in range(3):
@@ -179,19 +182,127 @@ class TestFleetIdentity:
             fleet.step_batch(batch)
 
     def test_invalid_config_rejected_like_serial(self, model):
-        """The scratch estimator enforces OnlineEstimator's own config
-        validation."""
-        with pytest.raises(ValueError, match="smoothing"):
-            FleetEstimator(model, smoothing=0.0)
+        """The fleet owns config validation: same rejections, same
+        messages as the scalar oracle."""
+        for bad in (
+            dict(smoothing=0.0),
+            dict(smoothing=1.5),
+            dict(breaker_threshold=0),
+            dict(recovery_threshold=0),
+            dict(drift_window=0),
+            dict(drift_tolerance=0.0),
+            dict(drift_tolerance=1.5),
+        ):
+            with pytest.raises(ValueError) as oracle_err:
+                SerialOnlineEstimator(model, **bad)
+            with pytest.raises(ValueError) as fleet_err:
+                FleetEstimator(model, **bad)
+            assert str(fleet_err.value) == str(oracle_err.value)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda s: "not a dict",
+            lambda s: dict(s, format=99),
+            lambda s: {k: v for k, v in s.items() if k != "seen"},
+            lambda s: dict(s, warnings=None),
+            lambda s: dict(s, smoothed=float("inf")),
+            lambda s: dict(s, smoothed="abc"),
+            lambda s: dict(s, seen=-1),
+            lambda s: dict(s, n_model="x"),
+            lambda s: dict(s, implausible_window=[False] * 6),
+            lambda s: dict(s, last_time="late"),
+        ],
+        ids=[
+            "not-a-dict", "format", "missing-key", "warnings-none",
+            "inf-ewma", "text-ewma", "negative-counter", "text-counter",
+            "long-window", "text-time",
+        ],
+    )
+    def test_invalid_snapshot_rejected_like_oracle(
+        self, model, envelope, mangle
+    ):
+        """The fleet owns snapshot validation: every snapshot the
+        oracle rejects, the fleet rejects with the same error, and the
+        node is left untouched."""
+        kw = dict(envelope=envelope, **ESTIMATOR_KW)
+        oracle = SerialOnlineEstimator(model, **kw)
+        fleet = FleetEstimator(model, **kw)
+        rng = np.random.default_rng(3)
+        for tick in range(3):
+            (sample,) = make_fleet_samples(["n"], tick, rng)
+            oracle.step(
+                sample.counter_deltas,
+                interval_s=sample.interval_s,
+                voltage_v=sample.voltage_v,
+                frequency_mhz=sample.frequency_mhz,
+                time_s=sample.time_s,
+            )
+            fleet.step_batch(make_batch([sample], COUNTERS))
+        before = fleet.node_state("n")
+        assert before == oracle.state_dict()
+        bad = mangle(oracle.state_dict())
+        with pytest.raises(Exception) as oracle_err:
+            SerialOnlineEstimator(model, **kw).load_state(bad)
+        with pytest.raises(type(oracle_err.value)) as fleet_err:
+            fleet.load_node_state("n", bad)
+        assert str(fleet_err.value) == str(oracle_err.value)
+        assert fleet.node_state("n") == before
+
+    @pytest.mark.parametrize("fault_seed", [0, 1, 20170529])
+    def test_single_node_view_matches_oracle(self, model, envelope, fault_seed):
+        """The public one-node ``OnlineEstimator`` steps through the
+        kernel and must equal the oracle step by step on a chaos
+        stream."""
+        plan = IngestFaultPlan.chaos(
+            0.5, faulty_node_fraction=0.4, fault_seed=fault_seed
+        )
+        injector = IngestFaultInjector(plan, fault_seed)
+        validator = SchemaValidator()
+        rng = np.random.default_rng(13)
+        node_ids = [f"node-{i:02d}" for i in range(8)]
+        kw = dict(envelope=envelope, **ESTIMATOR_KW)
+        views = {nid: OnlineEstimator(model, **kw) for nid in node_ids}
+        oracles = {nid: SerialOnlineEstimator(model, **kw) for nid in node_ids}
+        degraded = 0
+        for tick in range(20):
+            samples = validator.validate(
+                injector.corrupt(make_fleet_samples(node_ids, tick, rng), tick)
+            )
+            for s in samples:
+                ctx = dict(
+                    interval_s=s.interval_s,
+                    voltage_v=s.voltage_v,
+                    frequency_mhz=s.frequency_mhz,
+                    time_s=s.time_s,
+                )
+                a = oracles[s.node_id].step(s.counter_deltas, **ctx)
+                b = views[s.node_id].step(s.counter_deltas, **ctx)
+                assert a == b, (tick, s.node_id, a, b)
+                base = dict(voltage_v=s.voltage_v, frequency_mhz=s.frequency_mhz)
+                assert np.array_equal(
+                    views[s.node_id].baseline_power(**base),
+                    oracles[s.node_id].baseline_power(**base),
+                    equal_nan=True,
+                )
+                degraded += a is None or a.source == "baseline"
+        assert degraded > 0  # the chaos plan must actually bite
+        for nid in node_ids:
+            view, oracle = views[nid], oracles[nid]
+            assert view.drift_report() == oracle.drift_report()
+            assert view.state_dict() == oracle.state_dict()
+            assert view.history == oracle.history
+            assert view.warnings == oracle.warnings
+            assert view.breaker_open == oracle.breaker_open
 
     def test_state_roundtrip_through_fleet(self, model, envelope):
         """node_state()/load_node_state() must resume bit-identically,
-        matching a serial estimator resumed from the same snapshot."""
+        matching the oracle that never stopped."""
         rng = np.random.default_rng(9)
         node_ids = ["x", "y"]
         kw = dict(envelope=envelope, **ESTIMATOR_KW)
         fleet = FleetEstimator(model, **kw)
-        serial = {nid: OnlineEstimator(model, **kw) for nid in node_ids}
+        serial = {nid: SerialOnlineEstimator(model, **kw) for nid in node_ids}
         for tick in range(6):
             samples = make_fleet_samples(node_ids, tick, rng)
             batch = make_batch(samples, COUNTERS)

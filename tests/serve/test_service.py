@@ -4,8 +4,9 @@ These tests drive ``FleetService`` end to end — middleware, queue,
 sharded stepping, circuit breakers, snapshot worker, restore — under
 seeded ingestion faults and deliberate corruption, and assert the
 resilience contract: no escaping exception, blast radius bounded to
-the faulty shard/nodes, healthy nodes bit-identical to a clean serial
-run, and degradation graded by the AU013 audit rule.
+the faulty shard/nodes, healthy nodes bit-identical to the scalar
+oracle fed the same samples, and degradation graded by the AU013 audit
+rule.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.audit import audit_fleet
-from repro.core.online import OnlineEstimator
+from repro.core.online import PowerEnvelope
+from repro.core.online_reference import SerialOnlineEstimator
 from repro.faults import IngestFaultInjector, IngestFaultPlan
 from repro.serve import FleetService, NodeSample, make_batch
 
@@ -43,8 +45,8 @@ class TestServiceSoak:
         self, model, envelope
     ):
         """≥10% faulty nodes for 30 ticks: the service keeps serving,
-        and every healthy node's final state is bit-identical to a
-        clean serial OnlineEstimator fed the same samples."""
+        and every healthy node's final state is bit-identical to the
+        scalar oracle fed the same samples."""
         plan = IngestFaultPlan.chaos(
             0.6, faulty_node_fraction=0.25, fault_seed=2
         )
@@ -63,14 +65,14 @@ class TestServiceSoak:
             drift_window=20,
             drift_tolerance=0.5,
         )
-        reference = {n: OnlineEstimator(model, **kw) for n in NODES}
+        reference = {n: SerialOnlineEstimator(model, **kw) for n in NODES}
 
         rng = np.random.default_rng(3)
         for tick in range(30):
             clean = make_fleet_samples(NODES, tick, rng)
             corrupted = injector.corrupt(clean, tick)
             # Burst faults replay the whole tick, healthy nodes
-            # included, so the serial reference consumes the same
+            # included, so the oracle consumes the same
             # post-injection stream the service sees.
             for sample in corrupted:
                 if (
@@ -239,8 +241,6 @@ class TestServiceSoak:
     def test_audit_grades_forced_degradation(self, model):
         """Drive every node implausible (tight envelope) and check the
         roll-up fails the audit once nothing healthy remains."""
-        from repro.core.online import PowerEnvelope
-
         service = FleetService(
             model,
             envelope=PowerEnvelope(lo_w=5.0, hi_w=20.0),
@@ -324,6 +324,50 @@ def flaky_hook(service, bad_shard, ticks):
             raise RuntimeError("injected shard fault")
 
     return hook
+
+
+class TestStatelessBaseline:
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_stateless_answers_equal_oracle_clipped_baseline(
+        self, model, bounded
+    ):
+        """Diverted samples are answered from the fleet's Equation 1
+        baseline: the oracle's baseline clipped into the envelope, or
+        zeroed where it is non-finite and there is no envelope."""
+        envelope = PowerEnvelope(lo_w=30.0, hi_w=60.0) if bounded else None
+        service = FleetService(
+            model,
+            envelope=envelope,
+            queue_capacity=2,
+            policy="degrade-to-baseline",
+            seed=7,
+        )
+        rng = np.random.default_rng(21)
+        samples = make_fleet_samples(NODES, 0, rng)
+        # In-range, clipped high, clipped low and non-finite baselines.
+        samples += [
+            replace(samples[0], node_id="hot", voltage_v=4.0),
+            replace(samples[0], node_id="cold", voltage_v=-3.0),
+            replace(samples[0], node_id="dead", voltage_v=float("nan")),
+            replace(samples[0], node_id="inf", frequency_mhz=float("inf")),
+        ]
+        answers = service.submit(samples)
+        diverted = samples[2:]
+        assert [node for node, _ in answers] == [s.node_id for s in diverted]
+        oracle = SerialOnlineEstimator(model, envelope=envelope)
+        clipped = 0
+        for (_node, power_w), sample in zip(answers, diverted):
+            raw = oracle.baseline_power(
+                voltage_v=sample.voltage_v, frequency_mhz=sample.frequency_mhz
+            )
+            if envelope is not None:
+                expected = envelope.clip(float(raw))
+            else:
+                expected = float(raw) if np.isfinite(raw) else 0.0
+            assert power_w == expected, (sample.node_id, power_w, expected)
+            clipped += power_w != raw
+        assert clipped >= 2
+        assert service.report().stateless_served == len(diverted)
 
 
 class TestMergedStep:

@@ -1,14 +1,15 @@
 """Import-graph contract: no pipeline path loads ``scipy.stats`` or
-the scalar acquisition oracle.
+a scalar oracle.
 
 ``scipy.stats`` costs about 0.3 s per interpreter on top of the
 ``scipy.linalg``/``scipy.special`` the stack needs anyway; the pipeline
 takes its Student-t and χ² tails from ``scipy.special`` instead.
 ``repro.acquisition.reference`` is the scalar chain the experiment
-kernel is checked against; only tests and benchmarks may import it, so
-it can never slip back onto the acquisition path.  Each check runs in a
-fresh interpreter and asserts on ``sys.modules``, not on timings, so it
-cannot flake.
+kernel is checked against, and ``repro.core.online_reference`` is the
+scalar online estimator the fleet kernel is checked against; only
+tests and benchmarks may import them, so neither can slip back onto a
+pipeline path.  Each check runs in a fresh interpreter and asserts on
+``sys.modules``, not on timings, so it cannot flake.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ ENTRY_MODULES = (
 #: The scalar acquisition oracle.
 ORACLE = "repro.acquisition.reference"
 
+#: The scalar online-estimation oracle.
+ONLINE_ORACLE = "repro.core.online_reference"
+
 #: A campaign, an audited workflow and its inference surface.
 AUDITED_WORKFLOW = """
 from repro.acquisition.campaign import run_campaign
@@ -44,6 +48,24 @@ result = run_workflow(dataset=ds, n_events=2, frequencies_mhz=(1200, 2400))
 assert result.audit is not None
 fit = result.model.ols
 fit.pvalues, fit.conf_int(), result.model.predict_interval(ds)
+"""
+
+
+#: The serve demo (fleet service plus its fault-free reference fleet)
+#: and the one-node online view.
+SERVE_DEMO = """
+from repro.core.online import OnlineEstimator
+from repro.experiments import serve_demo
+from repro.experiments.data import full_dataset, selected_counters
+from repro.core import PowerModel
+
+assert serve_demo.run().all_bit_identical
+model = PowerModel(selected_counters()).fit(full_dataset())
+est = OnlineEstimator(model)
+deltas = {c: 1e6 for c in model.counters}
+est.update(deltas, interval_s=0.5, voltage_v=1.0, frequency_mhz=2400.0)
+est.step({}, interval_s=0.5, voltage_v=1.0, frequency_mhz=2400.0)
+est.load_state(est.state_dict())
 """
 
 
@@ -98,3 +120,32 @@ def test_audited_workflow_skips_reference_oracle():
 def test_probe_detects_reference_oracle():
     # Guards the contract itself: the probe must see a real import.
     assert _loads("import repro.acquisition.reference\n", ORACLE)
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+def test_entry_module_import_skips_online_oracle(module):
+    assert not _loads(f"import repro\nimport {module}\n", ONLINE_ORACLE)
+
+
+def test_audited_workflow_skips_online_oracle():
+    assert not _loads(AUDITED_WORKFLOW, ONLINE_ORACLE)
+
+
+def test_serve_demo_skips_online_oracle():
+    assert not _loads(SERVE_DEMO, ONLINE_ORACLE)
+
+
+def test_probe_detects_online_oracle():
+    # Guards the contract itself: the probe must see a real import.
+    assert _loads(
+        """
+        from repro.core.online_reference import SerialOnlineEstimator
+        """,
+        ONLINE_ORACLE,
+    )
+
+
+def test_online_view_defers_serve_import():
+    # ``OnlineEstimator`` imports the fleet kernel when constructed, so
+    # ``import repro`` keeps ``repro.serve`` out of interpreter setup.
+    assert not _loads("import repro\nimport repro.core.online\n", "repro.serve")
