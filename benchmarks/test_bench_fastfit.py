@@ -1,15 +1,18 @@
 """Gram-cache fast-fit benchmark → ``BENCH_fastfit.json``.
 
 Times Algorithm 1 selection (40 candidates × 6 steps, plain and
-VIF-guarded) and the Table II cross validation with the fast-fit
-kernels on and off, on the paper's own selection/full datasets.
+VIF-guarded) and the Table II cross validation on the fast-fit kernels
+(the pipeline) and through the exact refits of the reference oracle
+:mod:`repro.core.fit_reference`, on the paper's own selection/full
+datasets.
 
 Acceptance gates (the perf contract of DESIGN.md §12):
 
 * serial greedy selection ≥ 5× faster with the Gram cache;
 * the 10-fold CV scenario ≥ 2× faster with the fold downdate solver;
-* the selected counter sequences and warnings are identical either
-  way — a fast path that changes the selection is a bug, not a win.
+* the selected counter sequences and warnings are identical to the
+  oracle's — a fast path that changes the selection is a bug, not a
+  win.
 
 Wall times are best-of-``REPS`` on the monotonic clock, which is noise
 discipline enough for the coarse (≥2×/≥5×) gates on a shared CI box.
@@ -24,6 +27,11 @@ import numpy as np
 
 from repro.core import select_events
 from repro.core.features import design_matrix
+from repro.core.fit_reference import (
+    cross_validate_exact,
+    cv_out_of_fold_predictions_exact,
+    select_events_exact,
+)
 from repro.core.scenarios import cv_out_of_fold_predictions
 from repro.io.atomic import atomic_write_json
 from repro.parallel import MONOTONIC_CLOCK
@@ -79,15 +87,13 @@ def test_bench_fastfit(selection_dataset, full_dataset):
         ("selection_vif_guarded", {"max_vif": 5.0}),
     ):
         slow_s, slow = best_of(
-            lambda kw=kwargs: select_events(
-                selection_dataset, N_EVENTS, candidates=pool,
-                fast=False, **kw,
+            lambda kw=kwargs: select_events_exact(
+                selection_dataset, N_EVENTS, candidates=pool, **kw,
             )
         )
         fast_s, fast = best_of(
             lambda kw=kwargs: select_events(
-                selection_dataset, N_EVENTS, candidates=pool,
-                fast=True, **kw,
+                selection_dataset, N_EVENTS, candidates=pool, **kw,
             )
         )
         assert_same_selection(slow, fast)
@@ -103,14 +109,10 @@ def test_bench_fastfit(selection_dataset, full_dataset):
     # -- Table II cross validation --------------------------------------
     counters = tuple(results["selection"]["selected"])
     cv_slow_s, cv_slow = best_of(
-        lambda: cv_out_of_fold_predictions(
-            full_dataset, counters, fast=False
-        )
+        lambda: cv_out_of_fold_predictions_exact(full_dataset, counters)
     )
     cv_fast_s, cv_fast = best_of(
-        lambda: cv_out_of_fold_predictions(
-            full_dataset, counters, fast=True
-        )
+        lambda: cv_out_of_fold_predictions(full_dataset, counters)
     )
     np.testing.assert_allclose(cv_slow[0], cv_fast[0], rtol=1e-9)
     np.testing.assert_allclose(cv_slow[1], cv_fast[1], rtol=1e-9)
@@ -124,12 +126,8 @@ def test_bench_fastfit(selection_dataset, full_dataset):
 
     x = design_matrix(full_dataset, list(counters))[:, :-1]
     y = full_dataset.power_w
-    raw_slow_s, raw_slow = best_of(
-        lambda: cross_validate(y, x, fast=False)
-    )
-    raw_fast_s, raw_fast = best_of(
-        lambda: cross_validate(y, x, fast=True)
-    )
+    raw_slow_s, raw_slow = best_of(lambda: cross_validate_exact(y, x))
+    raw_fast_s, raw_fast = best_of(lambda: cross_validate(y, x))
     for a, b in zip(raw_slow.folds, raw_fast.folds):
         np.testing.assert_allclose(
             [a.rsquared, a.rsquared_adj, a.mape],

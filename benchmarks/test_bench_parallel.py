@@ -208,7 +208,9 @@ def test_bench_parallel_layers():
 
     # -- greedy selection (latency-bound, process backend + arena) ------
     wide = wide_selection_dataset()
-    sel_kwargs = dict(criterion="bench_dwell_r2", fast=False)
+    # A registered criterion the Gram kernel does not compute: every
+    # candidate takes the exact refit, the fan-out the arena serves.
+    sel_kwargs = dict(criterion="bench_dwell_r2")
     sel_serial_s, sel_ref = timed(
         lambda: select_events(wide, 2, parallel="serial", **sel_kwargs)
     )

@@ -32,7 +32,7 @@ from repro.parallel import (
 )
 from repro.seeding import DEFAULT_SEED, derive_rng
 from repro.stats.crossval import KFold
-from repro.stats.fastfit import FoldGramSolver, fastfit_enabled
+from repro.stats.fastfit import FoldGramSolver
 from repro.stats.metrics import bias, mape, r2_score
 
 __all__ = [
@@ -191,6 +191,34 @@ def _cv_fold_batch_worker(
     ]
 
 
+FoldOutcome = Tuple[np.ndarray, float, Dict[str, float], int]
+
+
+def _assemble_out_of_fold(
+    dataset: PowerDataset,
+    splits: Sequence[Tuple[np.ndarray, np.ndarray]],
+    outcomes: Sequence[FoldOutcome],
+    issues: Optional[List[str]],
+) -> Tuple[np.ndarray, Tuple[float, ...], List[Dict[str, float]]]:
+    """Scatter fold outcomes into row-aligned out-of-fold predictions."""
+    preds = np.full(dataset.n_samples, np.nan)
+    fold_mapes: List[float] = []
+    fold_fits: List[Dict[str, float]] = []
+    for fold, ((train, test), (p, fold_mape, fits, n_zero)) in enumerate(
+        zip(splits, outcomes)
+    ):
+        preds[test] = p
+        fold_mapes.append(fold_mape)
+        fold_fits.append(fits)
+        if n_zero and issues is not None:
+            issues.append(
+                f"fold {fold}: skipped {n_zero} zero-power row(s) in MAPE"
+            )
+    if np.any(np.isnan(preds)):  # pragma: no cover - KFold covers all rows
+        raise AssertionError("incomplete out-of-fold coverage")
+    return preds, tuple(fold_mapes), fold_fits
+
+
 def cv_out_of_fold_predictions(
     dataset: PowerDataset,
     counters: Sequence[str],
@@ -203,28 +231,31 @@ def cv_out_of_fold_predictions(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> Tuple[np.ndarray, Tuple[float, ...], List[Dict[str, float]]]:
     """k-fold CV with random indexing: out-of-fold predictions.
 
     Returns (predictions aligned with dataset rows, per-fold MAPEs,
-    per-fold fit metrics [R², Adj.R²]).  ``estimator="huber"`` runs the
-    robust per-fold fits.  ``on_zero="skip"`` lets degraded pipelines
-    survive zero-power rows in a fold's MAPE; each occurrence is
-    recorded in the ``issues`` sink when one is given.  Folds run on
-    the ``parallel``/``max_workers`` backend (see
-    :mod:`repro.parallel`), assembled in fold order — bit-identical to
-    serial; the process backend shares the dataset through a zero-copy
-    arena and dispatches fold batches as handles (``REPRO_ARENA=0``
-    restores pickled per-fold payloads).  ``fast`` (default: ``REPRO_FASTFIT``, on) solves the OLS
-    folds from Gram downdates (:mod:`repro.stats.fastfit`) within 1e-9
-    relative tolerance of the per-fold refits; Huber folds and any fold
-    the solver declines take the exact path.
+    per-fold fit metrics [R², Adj.R²]).  ``on_zero="skip"`` lets
+    degraded pipelines survive zero-power rows in a fold's MAPE; each
+    occurrence is recorded in the ``issues`` sink when one is given.
+
+    OLS folds are solved from Gram downdates
+    (:class:`~repro.stats.fastfit.FoldGramSolver`, within 1e-9 relative
+    tolerance of per-fold refits); a fold the solver declines is refit
+    exactly, and the decline count lands in ``issues`` for the audit
+    (AU011).  ``estimator="huber"`` runs one robust fit per fold on the
+    ``parallel``/``max_workers`` backend (see :mod:`repro.parallel`),
+    assembled in fold order — bit-identical to serial; the process
+    backend shares the dataset through a zero-copy arena and
+    dispatches fold batches as handles (``REPRO_ARENA=0`` restores
+    pickled per-fold payloads).  The exact OLS folds, without the
+    solver, are the oracle
+    :func:`repro.core.fit_reference.cv_out_of_fold_predictions_exact`.
     """
     splits = list(
         KFold(n_splits, shuffle=True, seed=seed).split(dataset.n_samples)
     )
-    if estimator == "ols" and fastfit_enabled(fast):
+    if estimator == "ols":
         # Constructing the model validates the counter list (duplicate
         # names) exactly as the per-fold workers would.
         PowerModel(tuple(counters), cov_type=cov_type, estimator=estimator)
@@ -311,22 +342,7 @@ def cv_out_of_fold_predictions(
                     for train, test in splits
                 ],
             )
-    preds = np.full(dataset.n_samples, np.nan)
-    fold_mapes: List[float] = []
-    fold_fits: List[Dict[str, float]] = []
-    for fold, ((train, test), (p, fold_mape, fits, n_zero)) in enumerate(
-        zip(splits, outcomes)
-    ):
-        preds[test] = p
-        fold_mapes.append(fold_mape)
-        fold_fits.append(fits)
-        if n_zero and issues is not None:
-            issues.append(
-                f"fold {fold}: skipped {n_zero} zero-power row(s) in MAPE"
-            )
-    if np.any(np.isnan(preds)):  # pragma: no cover - KFold covers all rows
-        raise AssertionError("incomplete out-of-fold coverage")
-    return preds, tuple(fold_mapes), fold_fits
+    return _assemble_out_of_fold(dataset, splits, outcomes, issues)
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +443,6 @@ def scenario_cv_all(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> ScenarioResult:
     """Scenario 3: 10-fold CV over all experiments (the Table II run)."""
     preds, fold_mapes, _ = cv_out_of_fold_predictions(
@@ -440,7 +455,6 @@ def scenario_cv_all(
         issues=issues,
         parallel=parallel,
         max_workers=max_workers,
-        fast=fast,
     )
     return ScenarioResult(
         name=SCENARIO_NAMES[2],
@@ -461,7 +475,6 @@ def scenario_cv_synthetic(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> ScenarioResult:
     """Scenario 4: 10-fold CV over the roco2 experiments only."""
     synth = dataset.filter(suite="roco2")
@@ -477,7 +490,6 @@ def scenario_cv_synthetic(
         issues=issues,
         parallel=parallel,
         max_workers=max_workers,
-        fast=fast,
     )
     return ScenarioResult(
         name=SCENARIO_NAMES[3],
@@ -497,7 +509,6 @@ def run_all_scenarios(
     issues: Optional[List[str]] = None,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> Dict[str, ScenarioResult]:
     """All four scenarios (Fig. 4), keyed by scenario name."""
     return {
@@ -513,7 +524,6 @@ def run_all_scenarios(
             issues=issues,
             parallel=parallel,
             max_workers=max_workers,
-            fast=fast,
         ),
         SCENARIO_NAMES[3]: scenario_cv_synthetic(
             dataset,
@@ -523,6 +533,5 @@ def run_all_scenarios(
             issues=issues,
             parallel=parallel,
             max_workers=max_workers,
-            fast=fast,
         ),
     }

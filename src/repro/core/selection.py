@@ -16,12 +16,19 @@ The selection criterion is pluggable (``r2`` — the paper's, plus
 ``adj_r2`` / ``aic`` / ``bic`` from the future-work ablation); an
 optional ``max_vif`` constraint implements the VIF-guarded greedy
 variant.
+
+One greedy reduce serves every fit path.  OLS steps under the four
+built-in criteria are scored by the Gram-cache kernel
+(:mod:`repro.stats.fastfit`); the exact per-candidate refit runs for
+the candidates the kernel declines, for the Huber estimator and for
+any other registered criterion.  Exact OLS selection end to end is the
+test oracle in :mod:`repro.core.fit_reference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +44,7 @@ from repro.parallel import (
     split_batches,
 )
 from repro.stats.errors import EstimationError
-from repro.stats.fastfit import GramCache, GramCacheHandle, fastfit_enabled
+from repro.stats.fastfit import KERNEL_CRITERIA, GramCache
 from repro.stats.selection_criteria import CRITERIA
 from repro.stats.vif import VIF_PROBLEM_THRESHOLD, mean_vif
 
@@ -124,7 +131,7 @@ def _evaluate_candidate(
     """Score one candidate event for one greedy step.
 
     Module-level (picklable) worker for the per-step fan-out; returns a
-    tagged tuple so the pool-order reduction in :func:`select_events`
+    tagged tuple so the pool-order reduction in :func:`_greedy_select`
     reproduces the serial loop's warnings and tie handling exactly.
     """
     dataset, selected, event, max_vif, cov_type, estimator, criterion = args
@@ -174,167 +181,131 @@ def _evaluate_candidate_batch(
     ]
 
 
-def _score_candidates_shared(
-    args: Tuple[GramCacheHandle, Tuple[int, ...], Tuple[int, ...], str],
-) -> List[Optional[Tuple[float, float, float]]]:
-    """Score one chunk of fast-path candidates from the shared cache.
+@dataclass(frozen=True)
+class _ExactStep:
+    """One greedy step by one exact refit per candidate.
 
-    Workers reconstruct the :class:`~repro.stats.fastfit.GramCache`
-    from shared buffers (memoized per process) and run the same
-    column-separable scoring kernel the parent would; chunk results
-    concatenate to the parent's single batched call bitwise.
+    Fans the candidates out on ``executor`` — as handle-carrying
+    batches when the dataset is published in an arena (``handle``),
+    else as pickled per-candidate payloads — and returns the tagged
+    evaluations of :func:`_evaluate_candidate` in pool order.
     """
-    handle, sel_pos, cand_pos, criterion = args
-    cache = GramCache.from_handle(handle)
-    return cache.score_candidates(list(sel_pos), list(cand_pos), criterion)
 
+    dataset: PowerDataset
+    max_vif: Optional[float]
+    cov_type: str
+    estimator: str
+    criterion: str
+    executor: BaseExecutor
+    handle: Optional[DatasetHandle] = None
 
-def _fast_step_evaluations(
-    dataset: PowerDataset,
-    cache: GramCache,
-    pool_pos: dict,
-    selected: Sequence[str],
-    remaining: Sequence[str],
-    max_vif: Optional[float],
-    cov_type: str,
-    criterion: str,
-    executor: Optional[BaseExecutor] = None,
-    cache_handle: Optional[GramCacheHandle] = None,
-) -> List[Tuple[object, ...]]:
-    """One greedy step through the Gram cache.
-
-    Produces the same pool-ordered tagged tuples as the
-    :func:`_evaluate_candidate` fan-out: the VIF guard runs through the
-    cache's memoized correlations (bitwise-identical to the slow
-    guard), the surviving candidates are scored in one batched
-    bordered-Cholesky update, and any candidate the kernel declines
-    (degraded or ill-conditioned trial design) is re-evaluated through
-    the exact slow path so its score, skip warning or error message is
-    reproduced verbatim.
-
-    With a process ``executor`` and a published ``cache_handle`` the
-    batched scoring is chunked across workers — one contiguous slice
-    per worker slot against the shared buffers.  Column-separability
-    of the kernel makes the concatenated chunks bitwise-identical to
-    the single batched call, so the reduce downstream cannot tell the
-    difference.
-    """
-    sel_pos = [pool_pos[e] for e in selected]
-    evaluations: List[Optional[Tuple[object, ...]]] = [None] * len(remaining)
-    admissible: List[int] = []
-    for i, event in enumerate(remaining):
-        if max_vif is not None and selected:
-            trial_vif = cache.mean_vif(sel_pos + [pool_pos[event]])
-            if trial_vif > max_vif:
-                evaluations[i] = ("vif", event)
-                continue
-        admissible.append(i)
-    admissible_pos = [pool_pos[remaining[i]] for i in admissible]
-    # Chunks must carry >= 2 candidates each: BLAS routes a one-column
-    # matmul through gemv, whose accumulation order differs from gemm's
-    # by ~1 ulp — a size-1 chunk would break bitwise equality with the
-    # parent's batched call (guarded by the fastfit chunking tests).
-    if (
-        cache_handle is not None
-        and executor is not None
-        and len(admissible) >= 4
-    ):
-        chunks = split_batches(
-            admissible_pos, min(executor.max_workers, len(admissible) // 2)
-        )
-        nested = executor.map(
-            _score_candidates_shared,
+    def evaluate(
+        self, selected: Sequence[str], remaining: Sequence[str]
+    ) -> List[Tuple[object, ...]]:
+        settings = (self.max_vif, self.cov_type, self.estimator, self.criterion)
+        if self.handle is not None:
+            # Batched zero-copy dispatch: one contiguous candidate slice
+            # per worker; flattening in batch order restores pool order.
+            batches = split_batches(remaining, self.executor.max_workers)
+            nested = self.executor.map(
+                _evaluate_candidate_batch,
+                [
+                    (self.handle, tuple(selected), tuple(batch)) + settings
+                    for batch in batches
+                ],
+            )
+            return [ev for sub in nested for ev in sub]
+        return self.executor.map(
+            _evaluate_candidate,
             [
-                (cache_handle, tuple(sel_pos), tuple(chunk), criterion)
-                for chunk in chunks
+                (self.dataset, tuple(selected), event) + settings
+                for event in remaining
             ],
         )
-        scores = [score for chunk_scores in nested for score in chunk_scores]
-    else:
-        scores = cache.score_candidates(sel_pos, admissible_pos, criterion)
-    for i, entry in zip(admissible, scores):
-        event = remaining[i]
-        if entry is None:
-            # Not fast-eligible: exact slow-path evaluation (max_vif
-            # already enforced above, hence None here).
-            evaluations[i] = _evaluate_candidate(
-                (dataset, tuple(selected), event, None, cov_type, "ols",
-                 criterion)
-            )
-        else:
-            score, r2, adj = entry
-            evaluations[i] = ("ok", event, score, r2, adj)
-    return evaluations  # type: ignore[return-value]
+
+    def mean_vif(self, selected: Sequence[str]) -> float:
+        return mean_vif(self.dataset.counter_matrix(list(selected)))
 
 
-def select_events(
+class _GramStep:
+    """One greedy step through the Gram cache.
+
+    Produces the same pool-ordered tagged tuples as :class:`_ExactStep`:
+    the VIF guard runs through the cache's memoized correlations
+    (bitwise-identical to the exact guard), the surviving candidates
+    are scored in one batched bordered-Cholesky update, and any
+    candidate the kernel declines (degraded or ill-conditioned trial
+    design) is re-evaluated through :func:`_evaluate_candidate` so its
+    score, skip warning or error message is reproduced verbatim.
+    """
+
+    def __init__(
+        self,
+        dataset: PowerDataset,
+        pool: Sequence[str],
+        max_vif: Optional[float],
+        cov_type: str,
+        criterion: str,
+    ) -> None:
+        self.dataset = dataset
+        self.cache = GramCache(
+            dataset.power_w,
+            design_matrix(dataset, list(pool)),
+            dataset.counter_matrix(list(pool)),
+        )
+        self.pool_pos = {event: i for i, event in enumerate(pool)}
+        self.max_vif = max_vif
+        self.cov_type = cov_type
+        self.criterion = criterion
+
+    def evaluate(
+        self, selected: Sequence[str], remaining: Sequence[str]
+    ) -> List[Tuple[object, ...]]:
+        sel_pos = [self.pool_pos[e] for e in selected]
+        evaluations: List[Optional[Tuple[object, ...]]] = [None] * len(remaining)
+        admissible: List[int] = []
+        for i, event in enumerate(remaining):
+            if self.max_vif is not None and selected:
+                trial_vif = self.cache.mean_vif(sel_pos + [self.pool_pos[event]])
+                if trial_vif > self.max_vif:
+                    evaluations[i] = ("vif", event)
+                    continue
+            admissible.append(i)
+        scores = self.cache.score_candidates(
+            sel_pos,
+            [self.pool_pos[remaining[i]] for i in admissible],
+            self.criterion,
+        )
+        for i, entry in zip(admissible, scores):
+            event = remaining[i]
+            if entry is None:
+                # Not fast-eligible: exact evaluation (max_vif already
+                # enforced above, hence None here).
+                evaluations[i] = _evaluate_candidate(
+                    (self.dataset, tuple(selected), event, None,
+                     self.cov_type, "ols", self.criterion)
+                )
+            else:
+                score, r2, adj = entry
+                evaluations[i] = ("ok", event, score, r2, adj)
+        return evaluations  # type: ignore[return-value]
+
+    def mean_vif(self, selected: Sequence[str]) -> float:
+        return self.cache.mean_vif([self.pool_pos[e] for e in selected])
+
+
+def _candidate_pool(
     dataset: PowerDataset,
     n_events: int,
-    *,
-    candidates: Optional[Sequence[str]] = None,
-    criterion: str = "r2",
-    max_vif: Optional[float] = None,
-    cov_type: str = "HC3",
-    estimator: str = "ols",
-    on_missing: str = "raise",
-    parallel: Optional[str] = None,
-    max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
-) -> SelectionResult:
-    """Run Algorithm 1 on a dataset.
+    candidates: Optional[Sequence[str]],
+    criterion: str,
+    estimator: str,
+    on_missing: str,
+) -> Tuple[List[str], int, List[str]]:
+    """Validate a selection request; return (pool, n_events, warnings).
 
-    Parameters
-    ----------
-    dataset:
-        Selection data — the paper uses all workloads at a fixed
-        2400 MHz.
-    n_events:
-        ``#Events``: how many counters to select.
-    candidates:
-        Candidate pool (default: all 54 counters of the dataset).
-    criterion:
-        Scoring function for the greedy step (``r2`` is Algorithm 1).
-    max_vif:
-        If given, a candidate whose inclusion pushes the mean VIF of
-        the selected *rate* columns above this bound is skipped — the
-        VIF-constrained variant studied in the ablation benchmark.
-    cov_type:
-        Covariance estimator for the per-step fits.
-    estimator:
-        ``"ols"`` (Algorithm 1 as published) or ``"huber"`` for the
-        outlier-robust IRLS variant.
-    on_missing:
-        What to do with candidates absent from the dataset (a degraded
-        campaign may have dropped entire counters): ``"raise"`` keeps
-        the strict historical ``KeyError``; ``"skip"`` drops them from
-        the pool and records a selection-level warning.
-    parallel, max_workers:
-        Backend for each step's candidate fan-out (see
-        :mod:`repro.parallel`).  Candidate fits are independent, and
-        the reduction below walks results in pool order, so every
-        backend selects bit-identically.  The process backend
-        dispatches through a zero-copy shared-memory arena (dataset
-        columns or Gram-cache buffers published once, work items
-        carrying handles and contiguous candidate batches);
-        ``REPRO_ARENA=0`` restores the pickled-payload dispatch.
-    fast:
-        Score candidates through the Gram-cache fast-fit kernel
-        (:mod:`repro.stats.fastfit`) instead of one full OLS refit per
-        candidate.  Default (``None``) resolves ``REPRO_FASTFIT`` and
-        falls back to **on**; only the ``"ols"`` estimator has a fast
-        kernel.  The selected sequence and all warnings are identical
-        to the slow path, scores agree within 1e-9 relative tolerance,
-        and any candidate the kernel cannot certify well-conditioned is
-        transparently re-evaluated on the exact slow path.
-
-    Determinism
-    -----------
-    Candidates are scanned in pool order and a challenger must *strictly*
-    beat the incumbent, so exact criterion ties resolve to the earliest
-    pool entry and reruns on identical data reproduce bit-identical
-    selections — parallel evaluation preserves this because results are
-    reduced in pool order, never completion order.  Observed ties are
-    recorded in the step's ``warnings``.
+    Drops missing candidates under ``on_missing="skip"`` (recording a
+    selection-level warning) and clamps ``n_events`` to what survives.
     """
     if criterion not in CRITERIA:
         raise ValueError(
@@ -374,7 +345,168 @@ def select_events(
             raise ValueError(
                 f"cannot select {n_events} events from {len(pool)} candidates"
             )
+    return pool, n_events, run_warnings
 
+
+def _greedy_select(
+    pool: Sequence[str],
+    n_events: int,
+    criterion: str,
+    run_warnings: List[str],
+    step: Union[_ExactStep, _GramStep],
+) -> SelectionResult:
+    """The greedy loop of Algorithm 1 over one step evaluator.
+
+    Reduces each step's evaluations in pool order — whichever evaluator
+    or backend produced them — so incumbents, exact ties, skip warnings
+    and early termination are the same for every path.
+    """
+    selected: List[str] = []
+    steps: List[SelectionStep] = []
+    remaining = list(pool)
+    while len(selected) < n_events:
+        best: Optional[Tuple[str, float, float, float]] = None
+        step_warnings: List[str] = []
+        scores: List[Tuple[str, float]] = []
+        for evaluation in step.evaluate(selected, remaining):
+            tag = evaluation[0]
+            if tag == "vif":
+                continue
+            if tag == "error":
+                _, event, message = evaluation
+                step_warnings.append(f"candidate {event!r} skipped: {message}")
+                continue
+            _, event, score, r2, adj = evaluation
+            scores.append((event, score))
+            if best is None or score > best[1]:
+                best = (event, score, r2, adj)
+        if best is None:
+            # Every remaining candidate violates the VIF constraint or
+            # failed to fit on the degraded data.
+            if step_warnings:
+                run_warnings.extend(step_warnings)
+            run_warnings.append(
+                f"selection stopped early at {len(selected)} of "
+                f"{n_events} events: no admissible candidate remains"
+            )
+            break
+        event, score, r2, adj = best
+        ties = [
+            e
+            for e, s in scores
+            if e != event and s == score  # replint: ignore[RL004] -- exact tie detection is intentional
+        ]
+        if ties:
+            step_warnings.append(
+                f"criterion tie with {', '.join(sorted(ties))}; kept "
+                f"{event!r} (earliest in pool order)"
+            )
+        selected.append(event)
+        remaining.remove(event)
+        vif = step.mean_vif(selected)
+        if np.isinf(vif):
+            step_warnings.append(
+                "mean VIF is infinite: selected set contains perfectly "
+                "collinear columns"
+            )
+        steps.append(
+            SelectionStep(
+                counter=event,
+                rsquared=r2,
+                rsquared_adj=adj,
+                mean_vif=vif,
+                criterion_value=score,
+                warnings=tuple(step_warnings),
+            )
+        )
+    return SelectionResult(
+        steps=tuple(steps),
+        criterion=criterion,
+        warnings=tuple(run_warnings),
+    )
+
+
+def select_events(
+    dataset: PowerDataset,
+    n_events: int,
+    *,
+    candidates: Optional[Sequence[str]] = None,
+    criterion: str = "r2",
+    max_vif: Optional[float] = None,
+    cov_type: str = "HC3",
+    estimator: str = "ols",
+    on_missing: str = "raise",
+    parallel: Optional[str] = None,
+    max_workers: Optional[int] = None,
+) -> SelectionResult:
+    """Run Algorithm 1 on a dataset.
+
+    Parameters
+    ----------
+    dataset:
+        Selection data — the paper uses all workloads at a fixed
+        2400 MHz.
+    n_events:
+        ``#Events``: how many counters to select.
+    candidates:
+        Candidate pool (default: all 54 counters of the dataset).
+    criterion:
+        Scoring function for the greedy step (``r2`` is Algorithm 1);
+        any name registered in
+        :data:`~repro.stats.selection_criteria.CRITERIA`.
+    max_vif:
+        If given, a candidate whose inclusion pushes the mean VIF of
+        the selected *rate* columns above this bound is skipped — the
+        VIF-constrained variant studied in the ablation benchmark.
+    cov_type:
+        Covariance estimator for the per-step fits.
+    estimator:
+        ``"ols"`` (Algorithm 1 as published) or ``"huber"`` for the
+        outlier-robust IRLS variant.
+    on_missing:
+        What to do with candidates absent from the dataset (a degraded
+        campaign may have dropped entire counters): ``"raise"`` keeps
+        the strict historical ``KeyError``; ``"skip"`` drops them from
+        the pool and records a selection-level warning.
+    parallel, max_workers:
+        Backend for the exact per-candidate fan-out (see
+        :mod:`repro.parallel`).  Candidate fits are independent, and
+        the reduction walks results in pool order, so every backend
+        selects bit-identically.  The process backend publishes the
+        dataset columns once into a zero-copy shared-memory arena and
+        dispatches handles with contiguous candidate batches;
+        ``REPRO_ARENA=0`` restores the pickled-payload dispatch.
+
+    Fit path
+    --------
+    OLS selection under the ``r2``/``adj_r2``/``aic``/``bic`` criteria
+    scores every candidate of a step through the Gram-cache kernel
+    (:mod:`repro.stats.fastfit`), serially in this process — one
+    batched update is cheaper than any dispatch.  A candidate the
+    kernel cannot certify well-conditioned is re-evaluated by an exact
+    refit.  The selected sequence and all warnings are identical to the
+    exact path and scores agree within 1e-9 relative tolerance
+    (checked against :mod:`repro.core.fit_reference`).  The Huber
+    estimator and any other registered criterion take one exact refit
+    per candidate, on the ``parallel`` backend.
+
+    Determinism
+    -----------
+    Candidates are scanned in pool order and a challenger must *strictly*
+    beat the incumbent, so exact criterion ties resolve to the earliest
+    pool entry and reruns on identical data reproduce bit-identical
+    selections — parallel evaluation preserves this because results are
+    reduced in pool order, never completion order.  Observed ties are
+    recorded in the step's ``warnings``.
+    """
+    pool, n_events, run_warnings = _candidate_pool(
+        dataset, n_events, candidates, criterion, estimator, on_missing
+    )
+    if estimator == "ols" and criterion in KERNEL_CRITERIA:
+        return _greedy_select(
+            pool, n_events, criterion, run_warnings,
+            _GramStep(dataset, pool, max_vif, cov_type, criterion),
+        )
     # Candidate fits are ~100 µs each: demand a healthy batch per
     # worker before letting a pool backend near them (the small-task
     # guard keeps a global REPRO_PARALLEL=process from regressing this
@@ -382,149 +514,23 @@ def select_events(
     executor = resolve_executor(
         parallel, max_workers, n_items=len(pool), min_items_per_worker=16
     )
-    cache: Optional[GramCache] = None
-    pool_pos: dict = {}
-    if fastfit_enabled(fast) and estimator == "ols":
-        cache = GramCache(
-            dataset.power_w,
-            design_matrix(dataset, pool),
-            dataset.counter_matrix(pool),
-        )
-        pool_pos = {event: i for i, event in enumerate(pool)}
-    # Zero-copy dispatch for the process backend: publish the shared
-    # state (Gram-cache buffers on the fast path, the dataset columns
-    # on the slow one) once, then fan out ~100-byte handles per step.
-    # REPRO_ARENA=0 keeps the historical pickled-payload dispatch.
     arena: Optional[SharedArena] = None
-    dataset_handle: Optional[DatasetHandle] = None
-    cache_handle: Optional[GramCacheHandle] = None
     if isinstance(executor, ProcessExecutor) and arena_enabled():
         arena = SharedArena()
-        if cache is not None:
-            cache_handle = cache.share(arena)
-        else:
-            dataset_handle = dataset.share(arena)
-    selected: List[str] = []
-    steps: List[SelectionStep] = []
-    remaining = list(pool)
-
     try:
-        while len(selected) < n_events:
-            best: Optional[Tuple[str, float, float, float]] = None
-            step_warnings: List[str] = []
-            scores: List[Tuple[str, float]] = []
-            if cache is not None:
-                evaluations = _fast_step_evaluations(
-                    dataset, cache, pool_pos, selected, remaining,
-                    max_vif, cov_type, criterion,
-                    executor=executor if cache_handle is not None else None,
-                    cache_handle=cache_handle,
-                )
-            elif dataset_handle is not None:
-                # Batched zero-copy dispatch: one contiguous candidate
-                # slice per worker; flattening in batch order restores
-                # pool order for the reduce below.
-                batches = split_batches(remaining, executor.max_workers)
-                nested = executor.map(
-                    _evaluate_candidate_batch,
-                    [
-                        (
-                            dataset_handle,
-                            tuple(selected),
-                            tuple(batch),
-                            max_vif,
-                            cov_type,
-                            estimator,
-                            criterion,
-                        )
-                        for batch in batches
-                    ],
-                )
-                evaluations = [ev for sub in nested for ev in sub]
-            else:
-                evaluations = executor.map(
-                    _evaluate_candidate,
-                    [
-                        (
-                            dataset,
-                            tuple(selected),
-                            event,
-                            max_vif,
-                            cov_type,
-                            estimator,
-                            criterion,
-                        )
-                        for event in remaining
-                    ],
-                )
-            # Reduce in pool order — identical to the historical serial
-            # loop, whichever backend produced the evaluations.
-            for evaluation in evaluations:
-                tag = evaluation[0]
-                if tag == "vif":
-                    continue
-                if tag == "error":
-                    _, event, message = evaluation
-                    step_warnings.append(
-                        f"candidate {event!r} skipped: {message}"
-                    )
-                    continue
-                _, event, score, r2, adj = evaluation
-                scores.append((event, score))
-                if best is None or score > best[1]:
-                    best = (event, score, r2, adj)
-            if best is None:
-                # Every remaining candidate violates the VIF constraint
-                # or failed to fit on the degraded data.
-                if step_warnings:
-                    run_warnings.extend(step_warnings)
-                run_warnings.append(
-                    f"selection stopped early at {len(selected)} of "
-                    f"{n_events} events: no admissible candidate remains"
-                )
-                break
-            event, score, r2, adj = best
-            ties = [
-                e
-                for e, s in scores
-                if e != event and s == score  # replint: ignore[RL004] -- exact tie detection is intentional
-            ]
-            if ties:
-                step_warnings.append(
-                    f"criterion tie with {', '.join(sorted(ties))}; kept "
-                    f"{event!r} (earliest in pool order)"
-                )
-            selected.append(event)
-            remaining.remove(event)
-            if cache is not None:
-                vif = cache.mean_vif([pool_pos[e] for e in selected])
-            else:
-                vif = mean_vif(dataset.counter_matrix(selected))
-            if np.isinf(vif):
-                step_warnings.append(
-                    "mean VIF is infinite: selected set contains perfectly "
-                    "collinear columns"
-                )
-            steps.append(
-                SelectionStep(
-                    counter=event,
-                    rsquared=r2,
-                    rsquared_adj=adj,
-                    mean_vif=vif,
-                    criterion_value=score,
-                    warnings=tuple(step_warnings),
-                )
-            )
+        handle = dataset.share(arena) if arena is not None else None
+        return _greedy_select(
+            pool, n_events, criterion, run_warnings,
+            _ExactStep(
+                dataset, max_vif, cov_type, estimator, criterion,
+                executor, handle,
+            ),
+        )
     finally:
         # Leak-proof lifecycle: segments are unlinked on normal exit,
         # worker crash and injected faults alike.
         if arena is not None:
             arena.close()
-    return SelectionResult(
-        steps=tuple(steps),
-        criterion=criterion,
-        warnings=tuple(run_warnings),
-    )
 
 
 def select_events_lasso(

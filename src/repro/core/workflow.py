@@ -113,7 +113,6 @@ def run_workflow(
     robust: bool = False,
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
     audit: bool = True,
 ) -> WorkflowResult:
     """Run the complete methodology of the paper.
@@ -142,21 +141,16 @@ def run_workflow(
         Execution backend for the acquisition, selection and validation
         stages (see :mod:`repro.parallel`); the result is bit-identical
         whichever backend runs, and per-stage wall time lands in
-        ``result.timing``.  Under the process backend the selection and
-        validation stages dispatch through the zero-copy shared-memory
-        arena (each stage publishes its arrays once, closes — and
-        thereby unlinks — its segments on the way out, success or
-        failure, so a completed workflow leaves nothing in
-        ``/dev/shm``); ``REPRO_ARENA=0`` restores the historical
+        ``result.timing``.  OLS selection and cross validation run on
+        the Gram-cache kernels (:mod:`repro.stats.fastfit`) in this
+        process whatever the backend; the robust (Huber) pipeline fits
+        exactly per candidate and per fold and fans those fits out.
+        Under the process backend that fan-out dispatches through the
+        zero-copy shared-memory arena (each stage publishes its arrays
+        once, closes — and thereby unlinks — its segments on the way
+        out, success or failure, so a completed workflow leaves nothing
+        in ``/dev/shm``); ``REPRO_ARENA=0`` restores the historical
         pickled-payload dispatch.
-    fast:
-        Run selection and cross validation through the Gram-cache
-        fast-fit kernels (:mod:`repro.stats.fastfit`).  Default
-        (``None``) resolves the ``REPRO_FASTFIT`` environment variable
-        and falls back to on; the robust (Huber) pipeline always uses
-        the exact per-fit path.  Selected counters and warnings are
-        identical either way, fit statistics agree within 1e-9
-        relative tolerance.
     audit:
         Run the :mod:`repro.audit` statistical-rigor pass over the
         produced artifacts and attach the report (default on; the pass
@@ -238,7 +232,6 @@ def run_workflow(
             on_missing="skip" if robust else "raise",
             parallel=executor.kind,
             max_workers=executor.max_workers,
-            fast=fast,
         )
     run_warnings.extend(selection.warnings)
     if not selection.selected:
@@ -272,7 +265,6 @@ def run_workflow(
             issues=cv_issues,
             parallel=executor.kind,
             max_workers=executor.max_workers,
-            fast=fast,
         )
     run_warnings.extend(cv_issues)
     result = WorkflowResult(

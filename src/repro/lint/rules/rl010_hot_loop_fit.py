@@ -1,17 +1,19 @@
-"""RL010 — no per-candidate ``fit_ols`` in fast-fit hot loops.
+"""RL010 — no per-iteration ``fit_ols`` in the fit-layer hot loops.
 
-The Gram-cache fast-fit kernels (DESIGN.md §12) exist because greedy
-selection, VIF screening and k-fold CV used to re-fit Equation 1 from
-scratch inside their inner loops — hundreds of redundant O(n·k²)
-solves over column subsets of one design matrix.  Those call sites now
-answer fits from cached sufficient statistics, and a direct
+Greedy selection, VIF screening and k-fold CV fit Equation 1 hundreds
+of times over column subsets of one design matrix.  The pipeline
+answers those fits from cached sufficient statistics — the Gram-cache
+kernels of DESIGN.md §12 are its only OLS fit path — so a direct
 ``fit_ols``/``fit_robust`` call inside a loop of one of the configured
-``fastfit-hot-modules`` would silently reintroduce the O(n) refit the
-refactor removed.  Per-fit fallbacks are still legitimate — the fast
-kernels decline degraded fits on purpose — but they are routed through
-the module-level fallback helpers (which the kernels certify against),
-not open-coded loops, so this rule flags any ``fit_ols``/``fit_robust``
-call lexically inside a ``for``/``while`` body in those modules.
+``fastfit-hot-modules`` would silently reintroduce an O(n·k²) refit
+per iteration.  The exact refit keeps legitimate jobs: the fallback for
+fits the kernels decline, the Huber and custom-``fit_fn`` paths, and
+the reference oracle.  Those run through the module-level per-fit
+helpers (``_evaluate_candidate``, ``_score_fold``, ``_cv_fold_worker``)
+that the executor dispatches, not through open-coded loops, so this
+rule flags any ``fit_ols``/``fit_robust`` call lexically inside a
+``for``/``while`` body in those modules.  It fences the shape of the
+hot loops, which does not depend on any choice between fit paths.
 """
 
 from __future__ import annotations

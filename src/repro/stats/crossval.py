@@ -22,7 +22,7 @@ from repro.parallel import (
     split_batches,
 )
 from repro.parallel.arena import ArrayHandle
-from repro.stats.fastfit import FoldGramSolver, fastfit_enabled
+from repro.stats.fastfit import FoldGramSolver
 from repro.stats.linalg import add_constant
 from repro.stats.metrics import mape, r2_score
 from repro.stats.ols import OLSResult, fit_ols
@@ -253,7 +253,6 @@ def cross_validate(
     on_zero: str = "raise",
     parallel: Optional[str] = None,
     max_workers: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> CrossValidationResult:
     """k-fold cross validation of an OLS power model.
 
@@ -262,26 +261,27 @@ def cross_validate(
     reports model fit per fold) and the held-out MAPE and out-of-sample
     :math:`R^2`.
 
-    ``robust=True`` swaps the default per-fold fit for the Huber IRLS
-    estimator; an explicit ``fit_fn`` takes precedence over the flag.
-    ``on_zero`` is forwarded to the fold MAPE (``"skip"`` for degraded
-    pipelines).  ``parallel`` / ``max_workers`` select the fold-fitting
-    backend (see :mod:`repro.parallel`); splits are materialised first
-    and scores assembled in fold order, so every backend is
-    bit-identical to serial.  The process backend publishes ``y``/``x``
-    into a zero-copy shared-memory arena and dispatches fold batches as
-    handles (``REPRO_ARENA=0`` restores pickled slices).  A custom
-    ``fit_fn`` must be picklable for ``parallel="process"``.
+    The default OLS folds are solved from Gram downdates
+    (:class:`~repro.stats.fastfit.FoldGramSolver`: each fold's train
+    Gram is the full-design Gram minus the fold's, no per-fold refit);
+    a fold the solver declines re-runs through the exact per-fold fit.
+    ``robust=True`` swaps in the Huber IRLS estimator and an explicit
+    ``fit_fn`` takes precedence over the flag; both run one exact fit
+    per fold.  ``on_zero`` is forwarded to the fold MAPE (``"skip"``
+    for degraded pipelines).
 
-    ``fast`` routes the default OLS folds through the Gram downdate
-    solver of :mod:`repro.stats.fastfit` (each fold's train Gram is the
-    full-design Gram minus the fold's — no per-fold refit).  Default
-    (``None``) resolves ``REPRO_FASTFIT`` and falls back to on; a
-    custom ``fit_fn`` or ``robust=True`` always takes the exact
-    per-fold path.  Fold scores agree with the slow path within 1e-9
-    relative tolerance.
+    ``parallel`` / ``max_workers`` select the backend of the exact
+    per-fold fits (see :mod:`repro.parallel`); the Gram solver is
+    serial.  Splits are materialised first and scores assembled in
+    fold order, so every backend is bit-identical to serial.  The
+    process backend publishes ``y``/``x`` into a zero-copy
+    shared-memory arena and dispatches fold batches as handles
+    (``REPRO_ARENA=0`` restores pickled slices).  A custom ``fit_fn``
+    must be picklable for ``parallel="process"``.  The exact OLS
+    folds, without the solver, are the oracle
+    :func:`repro.core.fit_reference.cross_validate_exact`.
     """
-    use_fast = fit_fn is None and not robust and fastfit_enabled(fast)
+    use_solver = fit_fn is None and not robust
     if fit_fn is None:
         fit_fn = _robust_fit if robust else _default_fit
     y = np.asarray(endog, dtype=np.float64).ravel()
@@ -292,7 +292,7 @@ def cross_validate(
         raise ValueError("endog/exog row mismatch")
 
     splits = list(KFold(n_splits, shuffle=True, seed=seed).split(y.shape[0]))
-    if use_fast:
+    if use_solver:
         return CrossValidationResult(
             folds=tuple(_fast_fold_scores(y, x, splits, on_zero))
         )

@@ -1,11 +1,11 @@
-"""Property-style equivalence: fast-fit vs exact path on seeded chaos.
+"""Property-style equivalence: fast-fit kernels vs the exact oracle.
 
 The fast-fit contract (DESIGN.md §12) is behavioural, not structural:
 for *any* dataset — collinear, NaN-ridden, scale-skewed, duplicated,
 constant, underdetermined — ``select_events``/``cross_validate`` must
-produce the identical selected sequence and warnings with ``fast=True``
-and ``fast=False``, with fit statistics within 1e-9 relative
-tolerance.  These tests sweep ~50 seeded random datasets with
+produce the identical selected sequence and warnings as the exact
+refits of :mod:`repro.core.fit_reference`, with fit statistics within
+1e-9 relative tolerance.  These tests sweep ~50 seeded random datasets with
 adversarial injections and assert exactly that, so any future guard or
 kernel change that silently shifts a selection fails loudly here.
 """
@@ -17,8 +17,10 @@ import pytest
 
 from repro.acquisition.dataset import PowerDataset
 from repro.core.features import design_matrix
+from repro.core.fit_reference import cross_validate_exact, select_events_exact
 from repro.core.selection import select_events
 from repro.stats.crossval import cross_validate
+from repro.stats.selection_criteria import CRITERIA
 
 SEEDS = list(range(50))
 
@@ -75,11 +77,11 @@ def make_chaos_dataset(seed: int) -> PowerDataset:
 
 
 def run_both(dataset, **kwargs):
-    """(outcome, payload) of select_events under both paths."""
+    """(outcome, payload) of the exact oracle, then the pipeline."""
     results = []
-    for fast in (False, True):
+    for select in (select_events_exact, select_events):
         try:
-            results.append(("ok", select_events(dataset, fast=fast, **kwargs)))
+            results.append(("ok", select(dataset, **kwargs)))
         except Exception as exc:  # noqa: BLE001 - equivalence contract
             results.append(("err", (type(exc), str(exc))))
     return results
@@ -125,14 +127,29 @@ class TestSelectionEquivalence:
         slow, fast = run_both(ds, **kwargs)
         assert_selection_equivalent(slow, fast)
 
-    def test_env_escape_hatch_matches_explicit_flag(self, monkeypatch):
-        ds = make_chaos_dataset(7)
-        expected = select_events(ds, 3, fast=False)
-        monkeypatch.setenv("REPRO_FASTFIT", "0")
-        via_env = select_events(ds, 3)
-        assert via_env.selected == expected.selected
-        for a, b in zip(expected.steps, via_env.steps):
-            assert a.criterion_value == b.criterion_value
+
+class TestRegisteredCriterion:
+    """A criterion registered in ``CRITERIA`` beyond the four the Gram
+    kernel computes is scored by exact per-candidate refits."""
+
+    def test_custom_criterion_selects_like_the_oracle(
+        self, selection_dataset, monkeypatch
+    ):
+        monkeypatch.setitem(CRITERIA, "test_r2", lambda res: res.rsquared)
+        result = select_events(selection_dataset, 2, criterion="test_r2")
+        expected = select_events_exact(
+            selection_dataset, 2, criterion="test_r2"
+        )
+        # Both paths refit every candidate exactly: bitwise equal.
+        assert result.selected == ("CA_SNP", "FUL_ICY")
+        assert result.warnings == expected.warnings
+        assert [
+            (s.counter, s.criterion_value, s.rsquared, s.warnings)
+            for s in result.steps
+        ] == [
+            (s.counter, s.criterion_value, s.rsquared, s.warnings)
+            for s in expected.steps
+        ]
 
 
 class TestCrossValidationEquivalence:
@@ -148,12 +165,8 @@ class TestCrossValidationEquivalence:
             pytest.skip("dataset degraded every candidate")
         x = design_matrix(ds, finite)[:, :-1]  # constant re-added by CV
         n_splits = min(5, ds.n_samples)
-        slow = cross_validate(
-            ds.power_w, x, n_splits=n_splits, fast=False
-        )
-        fast = cross_validate(
-            ds.power_w, x, n_splits=n_splits, fast=True
-        )
+        slow = cross_validate_exact(ds.power_w, x, n_splits=n_splits)
+        fast = cross_validate(ds.power_w, x, n_splits=n_splits)
         for a, b in zip(slow.folds, fast.folds):
             np.testing.assert_allclose(
                 [a.rsquared, a.rsquared_adj, a.mape, a.r2_oos],

@@ -1,9 +1,8 @@
-"""Golden digests of the fit layer under both ``REPRO_FASTFIT`` values.
+"""Golden digests of the fit layer, on the Gram kernels and the oracle.
 
 Pins what counter selection, the final model fit and cross validation
 produce for the paper artifacts that run them, so a restructuring of
-the fit layer (or retiring the ``REPRO_FASTFIT`` escape hatch) has to
-reproduce them:
+the fit layer has to reproduce them:
 
 * the selection sequences of Table I (ten steps, so the extended
   VIF anomaly is covered) and Table IV (roco2 only);
@@ -12,14 +11,16 @@ reproduce them:
 * the per-fold metrics of Table II's 10-fold cross validation and the
   per-fold/per-draw MAPEs of the four Fig. 4 scenarios.
 
-Every digest is checked with the Gram fast path on and off.  Counter
-names, mean VIFs, coefficients and standard errors agree bit for bit
-between the two paths and are pinned exactly (``float.hex``).  The
-selection R², adjusted R² and criterion values, the Table II fold
+Every digest is checked twice: on the pipeline, which fits through
+the Gram-cache kernels, and with every OLS selection and CV call site
+routed through the exact refits of :mod:`repro.core.fit_reference`.
+Counter names, mean VIFs, coefficients and standard errors agree bit
+for bit between the two paths and are pinned exactly (``float.hex``).
+The selection R², adjusted R² and criterion values, the Table II fold
 metrics and the Fig. 4 CV-scenario fold MAPEs differ in the last bits
 (relative gaps up to about 3e-12), so those fields are pinned at ten
 significant digits, where both paths agree.  The rendered Table I, II,
-IV and Fig. 4 text is byte-equal under both values.
+IV and Fig. 4 text is byte-equal on both paths.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ import pytest
 from repro.core import PowerModel
 from repro.experiments import fig4, table1, table2, table4
 from repro.experiments.data import full_dataset, selection_dataset
-from repro.stats.fastfit import FASTFIT_ENV
 
-FLAGS = ("1", "0")
+from ..fit_oracle import route_fits_through_oracle
+
+#: The two fit paths, by test id: ``1`` is the pipeline on the Gram
+#: kernels, ``0`` the exact oracle.
+PATHS = {"1": "kernel", "0": "oracle"}
 
 #: Recorded with the fit layer of the commit that introduced this test.
 GOLDEN: Dict[str, str] = {
@@ -76,7 +80,7 @@ def _selection_fields(result) -> List[str]:
 
 
 def fit_layer():
-    """(digests, renders) of the fit layer under the current switch."""
+    """(digests, renders) of the fit layer on the current call sites."""
     sel = selection_dataset()
     full = full_dataset()
     t1 = table1.run(sel)
@@ -114,27 +118,26 @@ def fit_layer():
 
 
 @pytest.fixture(scope="module")
-def by_flag():
-    out = {}
-    for flag in FLAGS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv(FASTFIT_ENV, flag)
-            out[flag] = fit_layer()
+def by_path():
+    out = {"1": fit_layer()}
+    with pytest.MonkeyPatch.context() as mp:
+        route_fits_through_oracle(mp)
+        out["0"] = fit_layer()
     return out
 
 
-@pytest.mark.parametrize("flag", FLAGS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_fit_layer_digest(by_flag, flag, name):
-    digests, _renders = by_flag[flag]
-    assert digests[name] == GOLDEN[name]
+def test_fit_layer_digest(by_path, path, name):
+    digests, _renders = by_path[path]
+    assert digests[name] == GOLDEN[name], PATHS[path]
 
 
-def test_golden_covers_every_digest(by_flag):
-    for flag in FLAGS:
-        assert set(by_flag[flag][0]) == set(GOLDEN)
+def test_golden_covers_every_digest(by_path):
+    for path in PATHS:
+        assert set(by_path[path][0]) == set(GOLDEN)
 
 
 @pytest.mark.parametrize("artifact", ["table1", "table2", "table4", "fig4"])
-def test_renders_equal_under_both_paths(by_flag, artifact):
-    assert by_flag["1"][1][artifact] == by_flag["0"][1][artifact]
+def test_renders_equal_under_both_paths(by_path, artifact):
+    assert by_path["1"][1][artifact] == by_path["0"][1][artifact]

@@ -84,12 +84,13 @@ class TestSelectionBitIdentity:
 
 
 class TestArenaSelection:
-    """Zero-copy shared-memory dispatch is invisible in the results.
+    """Process dispatch is invisible in the results.
 
-    The full candidate pool clears the small-task guard, so these runs
-    exercise the real process fan-out: shared Gram buffers on the fast
-    path, a shared dataset with batched candidates on the slow path,
-    and the pickled fallback when ``REPRO_ARENA=0``.
+    OLS selection scores in this process on the Gram kernel, whatever
+    the backend.  The exact per-candidate fan-out (here: the Huber
+    estimator) clears the small-task guard on the full candidate pool
+    and runs through a shared dataset with batched candidates, or
+    through the pickled fallback when ``REPRO_ARENA=0``.
     """
 
     def shm_segments(self):
@@ -97,23 +98,30 @@ class TestArenaSelection:
 
         return glob.glob("/dev/shm/repro-arena-*")
 
-    def test_fast_path_bit_identical_and_leak_free(self, selection_dataset):
-        reference = select_events(
-            selection_dataset, 2, fast=True, parallel="serial"
-        )
+    def test_fast_path_bit_identical_and_leak_free(
+        self, selection_dataset, monkeypatch
+    ):
+        from repro.parallel import ProcessExecutor, SharedArena
+
+        reference = select_events(selection_dataset, 2, parallel="serial")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("OLS selection left the parent process")
+
+        monkeypatch.setattr(SharedArena, "publish", refuse)
+        monkeypatch.setattr(ProcessExecutor, "map", refuse)
         result = select_events(
-            selection_dataset, 2, fast=True,
-            parallel="process", max_workers=2,
+            selection_dataset, 2, parallel="process", max_workers=2,
         )
         assert results_equal(result, reference)
         assert self.shm_segments() == []
 
     def test_slow_path_bit_identical_and_leak_free(self, selection_dataset):
         reference = select_events(
-            selection_dataset, 2, fast=False, parallel="serial"
+            selection_dataset, 2, estimator="huber", parallel="serial"
         )
         result = select_events(
-            selection_dataset, 2, fast=False,
+            selection_dataset, 2, estimator="huber",
             parallel="process", max_workers=2,
         )
         assert results_equal(result, reference)
@@ -123,11 +131,11 @@ class TestArenaSelection:
         self, selection_dataset, monkeypatch
     ):
         reference = select_events(
-            selection_dataset, 2, fast=False, parallel="serial"
+            selection_dataset, 2, estimator="huber", parallel="serial"
         )
         monkeypatch.setenv("REPRO_ARENA", "0")
         result = select_events(
-            selection_dataset, 2, fast=False,
+            selection_dataset, 2, estimator="huber",
             parallel="process", max_workers=2,
         )
         assert results_equal(result, reference)

@@ -205,16 +205,17 @@ class TestChaosAudit:
 
 class TestFastFitChaos:
     """ISSUE-5 gate on the chaos path: the Gram-cache fast fit must be
-    equivalent to the exact path on degraded campaign data too, for
+    equivalent to the exact oracle on degraded campaign data too, for
     any CI fault seed."""
 
     def test_selection_fast_equals_slow_on_degraded_dataset(self, campaign):
+        from repro.core.fit_reference import select_events_exact
         from repro.core.selection import select_events
 
         assert campaign.dataset is not None
         kwargs = dict(n_events=3, on_missing="skip")
-        slow = select_events(campaign.dataset, fast=False, **kwargs)
-        fast = select_events(campaign.dataset, fast=True, **kwargs)
+        slow = select_events_exact(campaign.dataset, **kwargs)
+        fast = select_events(campaign.dataset, **kwargs)
         assert slow.selected == fast.selected
         assert slow.warnings == fast.warnings
         for a, b in zip(slow.steps, fast.steps):
@@ -224,20 +225,28 @@ class TestFastFitChaos:
                 a.criterion_value, b.criterion_value, rtol=1e-9
             )
 
-    def test_workflow_fast_equals_slow_on_degraded_dataset(self, campaign):
+    def test_workflow_fast_equals_slow_on_degraded_dataset(
+        self, campaign, monkeypatch
+    ):
+        from ..fit_oracle import route_fits_through_oracle
+
         assert campaign.dataset is not None
         kwargs = dict(
             dataset=campaign.dataset,
             n_events=3,
             frequencies_mhz=FREQUENCIES,
         )
-        outcomes = []
-        for fast in (False, True):
+
+        def outcome():
             try:
-                outcomes.append(("ok", run_workflow(fast=fast, **kwargs)))
+                return ("ok", run_workflow(**kwargs))
             except Exception as exc:  # noqa: BLE001 - equivalence gate
-                outcomes.append(("err", (type(exc), str(exc))))
-        slow, fast_res = outcomes
+                return ("err", (type(exc), str(exc)))
+
+        fast_res = outcome()
+        with monkeypatch.context() as mp:
+            route_fits_through_oracle(mp)
+            slow = outcome()
         assert slow[0] == fast_res[0]
         if slow[0] == "err":
             assert slow[1] == fast_res[1]
@@ -274,7 +283,8 @@ class TestArenaChaos:
     """ISSUE-9 gate on the chaos path: shared-memory process dispatch
     must be invisible on degraded data for every CI fault seed — the
     same selection, folds and predictions as serial, and zero leaked
-    ``/dev/shm`` segments."""
+    ``/dev/shm`` segments.  The exact per-candidate and per-fold
+    fan-out the arena serves is reached through the Huber estimator."""
 
     def shm_segments(self):
         import glob
@@ -298,7 +308,7 @@ class TestArenaChaos:
     def test_selection_bit_identical_under_chaos(self, chaos_seed):
         ds = self.dense_campaign(chaos_seed).dataset
         assert ds is not None
-        kwargs = dict(on_missing="skip", fast=False)
+        kwargs = dict(on_missing="skip", estimator="huber")
         serial = select_events(ds, 2, parallel="serial", **kwargs)
         process = select_events(
             ds, 2, parallel="process", max_workers=2, **kwargs
@@ -315,7 +325,7 @@ class TestArenaChaos:
         ds = self.dense_campaign(chaos_seed).dataset
         assert ds is not None
         counters = ds.counter_names[:2]
-        kwargs = dict(n_splits=16, on_zero="skip", fast=False)
+        kwargs = dict(n_splits=16, on_zero="skip", estimator="huber")
         serial = cv_out_of_fold_predictions(
             ds, counters, parallel="serial", **kwargs
         )

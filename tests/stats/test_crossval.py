@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from repro.stats import KFold, LeaveOneGroupOut, cross_validate
+from repro.stats.ols import fit_ols
+
+
+def ols_fold_fit(y, x):
+    """Exact per-fold OLS as a custom (picklable) ``fit_fn``."""
+    return fit_ols(y, x, cov_type="HC3")
 
 
 class TestKFold:
@@ -143,13 +149,13 @@ class TestArenaCrossValidate:
 
     def test_arena_bit_identical_and_leak_free(self, rng):
         y, x = self.make_problem(rng)
-        # fast=False forces the fold-dispatch path the arena serves;
+        # A custom fit_fn takes the fold-dispatch path the arena serves;
         # 40 folds / 4 workers clears the small-task guard (>= 8 each).
         reference = cross_validate(
-            y, x, n_splits=40, fast=False, parallel="serial"
+            y, x, n_splits=40, fit_fn=ols_fold_fit, parallel="serial"
         )
         result = cross_validate(
-            y, x, n_splits=40, fast=False,
+            y, x, n_splits=40, fit_fn=ols_fold_fit,
             parallel="process", max_workers=4,
         )
         assert result.folds == reference.folds
@@ -158,11 +164,11 @@ class TestArenaCrossValidate:
     def test_pickled_fallback_bit_identical(self, rng, monkeypatch):
         y, x = self.make_problem(rng)
         reference = cross_validate(
-            y, x, n_splits=40, fast=False, parallel="serial"
+            y, x, n_splits=40, fit_fn=ols_fold_fit, parallel="serial"
         )
         monkeypatch.setenv("REPRO_ARENA", "0")
         result = cross_validate(
-            y, x, n_splits=40, fast=False,
+            y, x, n_splits=40, fit_fn=ols_fold_fit,
             parallel="process", max_workers=4,
         )
         assert result.folds == reference.folds

@@ -5,10 +5,11 @@ a scalar oracle.
 ``scipy.linalg``/``scipy.special`` the stack needs anyway; the pipeline
 takes its Student-t and χ² tails from ``scipy.special`` instead.
 ``repro.acquisition.reference`` is the scalar chain the experiment
-kernel is checked against, and ``repro.core.online_reference`` is the
-scalar online estimator the fleet kernel is checked against; only
-tests and benchmarks may import them, so neither can slip back onto a
-pipeline path.  Each check runs in a fresh interpreter and asserts on
+kernel is checked against, ``repro.core.online_reference`` is the
+scalar online estimator the fleet kernel is checked against, and
+``repro.core.fit_reference`` is the exact OLS refit the Gram-cache fit
+kernels are checked against; only tests and benchmarks may import
+them, so none can slip back onto a pipeline path.  Each check runs in a fresh interpreter and asserts on
 ``sys.modules``, not on timings, so it cannot flake.
 """
 
@@ -34,6 +35,9 @@ ORACLE = "repro.acquisition.reference"
 
 #: The scalar online-estimation oracle.
 ONLINE_ORACLE = "repro.core.online_reference"
+
+#: The exact OLS fit oracle.
+FIT_ORACLE = "repro.core.fit_reference"
 
 #: A campaign, an audited workflow and its inference surface.
 AUDITED_WORKFLOW = """
@@ -66,6 +70,15 @@ deltas = {c: 1e6 for c in model.counters}
 est.update(deltas, interval_s=0.5, voltage_v=1.0, frequency_mhz=2400.0)
 est.step({}, interval_s=0.5, voltage_v=1.0, frequency_mhz=2400.0)
 est.load_state(est.state_dict())
+"""
+
+
+#: The experiment runner over every artifact that selects counters or
+#: cross-validates.
+RUNNER = """
+from repro.experiments.runner import main
+
+assert main(["table1", "table2", "table4", "fig4"]) == 0
 """
 
 
@@ -149,3 +162,26 @@ def test_online_view_defers_serve_import():
     # ``OnlineEstimator`` imports the fleet kernel when constructed, so
     # ``import repro`` keeps ``repro.serve`` out of interpreter setup.
     assert not _loads("import repro\nimport repro.core.online\n", "repro.serve")
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+def test_entry_module_import_skips_fit_oracle(module):
+    assert not _loads(f"import repro\nimport {module}\n", FIT_ORACLE)
+
+
+def test_audited_workflow_skips_fit_oracle():
+    assert not _loads(AUDITED_WORKFLOW, FIT_ORACLE)
+
+
+def test_runner_skips_fit_oracle():
+    assert not _loads(RUNNER, FIT_ORACLE)
+
+
+def test_probe_detects_fit_oracle():
+    # Guards the contract itself: the probe must see a real import.
+    assert _loads(
+        """
+        from repro.core.fit_reference import select_events_exact
+        """,
+        FIT_ORACLE,
+    )
